@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .errors import InvalidParameter, NumericalFailure, SpintexError
-from .io_text import PRESETS, RunConfig, load_config, parse_config
+from .io_text import RunConfig, load_config, parse_config
 
 
 class _Parser(argparse.ArgumentParser):
@@ -25,9 +25,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_config_flags(sub, seedable=True):
     sub.add_argument("--config", metavar="<path>",
                      help="key = value config file; missing keys take "
-                          "preset defaults")
-    sub.add_argument("--preset", default="defaults-paper",
-                     choices=PRESETS, help="named default parameter set")
+                          "the defaults")
     if seedable:
         sub.add_argument("--seed", type=int, metavar="N",
                          help="override rng_seed")
@@ -40,10 +38,7 @@ def _add_config_flags(sub, seedable=True):
 
 
 def _build_config(args, seedable=True) -> RunConfig:
-    if args.config:
-        cfg = load_config(args.config, preset=args.preset)
-    else:
-        cfg = parse_config("", preset=args.preset)
+    cfg = load_config(args.config) if args.config else parse_config("")
     if seedable:
         if args.seed is not None:
             cfg.rng_seed = args.seed

@@ -67,3 +67,8 @@ def contact_coupling_hhz_um3(a_nm: float) -> float:
 def dipole_length_nm() -> float:
     """Dipolar length a_d = mu0 gF^2 muB^2 m / (12 pi hbar^2) in nm."""
     return MU0_SI * MU_ATOM_SI**2 * MASS_RB87_SI / (12.0 * math.pi * HBAR_SI**2) / NM
+
+
+def dipolar_energy_hhz(n0_um3: float) -> float:
+    """Dipolar energy scale E_d = mu0 (gF muB)^2 n0 / 2, h*Hz; n0 in um^-3."""
+    return MU0_SI * MU_ATOM_SI**2 * (n0_um3 / UM**3) / 2.0 / H_SI

@@ -40,8 +40,6 @@ KERNEL_MODES = ("bare", "larmor", "off")
 
 def normalize_mode(mode: str) -> str:
     mode = mode.strip().lower()
-    if mode == "larmor-averaged":
-        mode = "larmor"
     if mode not in KERNEL_MODES:
         raise InvalidParameter(
             f"kernel mode must be one of {KERNEL_MODES}, got {mode!r}")
@@ -130,8 +128,7 @@ def helix_column_energy(kappa: float, sigma_um: float, n0_um3: float) -> float:
         raise InvalidParameter("sigma_um and n0_um3 must be positive")
     if kappa < 0:
         raise InvalidParameter(f"kappa must be >= 0, got {kappa!r}")
-    mu_si = cn.GF * cn.MUB_SI
-    e_d = cn.MU0_SI * mu_si**2 * (n0_um3 / cn.UM**3) / 2.0 / cn.H_SI
+    e_d = cn.dipolar_energy_hhz(n0_um3)
     if kappa == 0.0:
         return e_d / 3.0
     x = 0.5 * (sigma_um * kappa) ** 2

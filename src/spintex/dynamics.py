@@ -104,11 +104,6 @@ class Evolver:
                 f"non-finite amplitudes after step {self._steps_taken}")
         return psi
 
-    def run(self, psi: np.ndarray, n_steps: int) -> np.ndarray:
-        for _ in range(n_steps):
-            psi = self.step(psi)
-        return psi
-
     # -- diagnostics ---------------------------------------------------
 
     def norm(self, psi: np.ndarray) -> float:
@@ -203,40 +198,32 @@ def make_cancellation_schedule(rate_khz: float, t_final_ms: float,
     return PulseSchedule(events=tuple(events), t_final_ms=t_final_ms)
 
 
-def evolve(psi: np.ndarray, evolver: Evolver, t_final_ms: float,
+def evolve(psi: np.ndarray, evolver: Evolver, n_steps: int,
            schedule: PulseSchedule = None, observer=None,
-           observe_every_ms: float = None) -> np.ndarray:
-    """Run the stepper to t_final, firing pulses and the observer.
+           observe_every: int = 0) -> np.ndarray:
+    """Take n_steps steps of the stepper, firing pulses and the observer.
 
     Scheduled pulses are applied at the first step boundary at or after
     their event time, before the observer sees that boundary.  The
-    observer is called as observer(t_ms, psi) at t = 0, every
-    observe_every_ms (which must be a multiple of dt), and at the final
-    time.  Returns the final field.
+    observer is called as observer(n, psi) after step n for n = 0,
+    every observe_every steps (0: none in between), and n = n_steps.
+    Returns the final field.
     """
     from .field import rotate_spinor
-    dt = evolver.spec.dt_ms
-    n_steps = int(round(t_final_ms / dt))
-    if abs(n_steps * dt - t_final_ms) > 1e-9 * max(1.0, t_final_ms):
+    if n_steps < 0 or observe_every < 0:
         raise InvalidParameter(
-            f"t_final_ms {t_final_ms!r} is not a multiple of dt {dt!r}")
-    every = None
-    if observer is not None and observe_every_ms is not None:
-        every = int(round(observe_every_ms / dt))
-        if every < 1 or abs(every * dt - observe_every_ms) > 1e-9:
-            raise InvalidParameter(
-                f"observe_every_ms {observe_every_ms!r} is not a multiple "
-                f"of dt {dt!r}")
+            f"step counts must be >= 0, got n_steps = {n_steps!r}, "
+            f"observe_every = {observe_every!r}")
+    dt = evolver.spec.dt_ms
     pending = list(schedule.events) if schedule is not None else []
     if observer is not None:
-        observer(0.0, psi)
+        observer(0, psi)
     for n in range(1, n_steps + 1):
         psi = evolver.step(psi)
-        t_now = n * dt
-        while pending and pending[0].time_ms <= t_now + 1e-9:
+        while pending and pending[0].time_ms <= n * dt + 1e-9:
             ev = pending.pop(0)
             psi = rotate_spinor(psi, ev.axis, ev.angle)
         if observer is not None and (
-                (every is not None and n % every == 0) or n == n_steps):
-            observer(t_now, psi)
+                n == n_steps or (observe_every and n % observe_every == 0)):
+            observer(n, psi)
     return psi

@@ -30,9 +30,9 @@ PROFILES = ("uniform", "thomas-fermi")
 class RunConfig:
     """One simulation run, fully specified.
 
-    Defaults reproduce the reference parameter set (the
-    `defaults-paper` preset): 87Rb F=1 scattering lengths, peak density
-    2.3e14 cm^-3, bias field 165 mG, trap frequencies (39, 440, 4.2) Hz.
+    Defaults reproduce the reference parameter set: 87Rb F=1 scattering
+    lengths, peak density 2.3e14 cm^-3, bias field 165 mG, trap
+    frequencies (39, 440, 4.2) Hz.
     """
 
     # physical parameters
@@ -98,6 +98,14 @@ class RunConfig:
             return "auto" if self.noise_amplitude > 0 else 0.0
         return float(self.background)
 
+    def steps(self, ms: float) -> int:
+        """Whole number of dt_ms steps in ms; the run clock counts these."""
+        n = ms / self.dt_ms
+        if not math.isfinite(n) or abs(n - round(n)) > 1e-9:
+            raise InvalidParameter(
+                f"{ms!r} ms is not a multiple of dt_ms = {self.dt_ms!r}")
+        return round(n)
+
     # -- validation ----------------------------------------------------
 
     def validate(self) -> "RunConfig":
@@ -112,24 +120,21 @@ class RunConfig:
         if not (0.0 < self.dt_ms <= 0.2):
             raise InvalidParameter(
                 f"dt_ms must lie in (0, 0.2], got {self.dt_ms!r}")
-        if self.t_final_ms < 0:
-            raise InvalidParameter(
-                f"t_final_ms must be >= 0, got {self.t_final_ms!r}")
+        counts = {}
         for key in ("t_final_ms", "snapshot_every_ms",
                     "snapshot_write_every_ms"):
             val = getattr(self, key)
-            steps = val / self.dt_ms
-            if abs(steps - round(steps)) > 1e-9:
-                raise InvalidParameter(
-                    f"{key} = {val!r} is not a multiple of dt_ms")
-        if self.snapshot_every_ms < 0 or self.snapshot_write_every_ms < 0:
-            raise InvalidParameter("snapshot cadences must be >= 0")
-        if self.snapshot_write_every_ms > 0:
-            if self.snapshot_every_ms <= 0:
+            if val < 0:
+                raise InvalidParameter(f"{key} must be >= 0, got {val!r}")
+            try:
+                counts[key] = self.steps(val)
+            except InvalidParameter as exc:
+                raise InvalidParameter(f"{key}: {exc}") from None
+        if counts["snapshot_write_every_ms"]:
+            if not counts["snapshot_every_ms"]:
                 raise InvalidParameter(
                     "snapshot_write_every_ms needs snapshot_every_ms > 0")
-            ratio = self.snapshot_write_every_ms / self.snapshot_every_ms
-            if abs(ratio - round(ratio)) > 1e-9:
+            if counts["snapshot_write_every_ms"] % counts["snapshot_every_ms"]:
                 raise InvalidParameter(
                     "snapshot_write_every_ms must be a multiple of "
                     "snapshot_every_ms")
@@ -183,35 +188,24 @@ class RunConfig:
         return self
 
 
-PRESETS = ("defaults-paper",)
-
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-_STR_FIELDS = {"kernel_mode", "potential", "profile", "background", "out_dir"}
-_INT_FIELDS = {"nx", "nz", "rng_seed"}
 
 
 def _convert(key: str, raw: str, line_no: int, line: str):
     try:
-        if key in _STR_FIELDS:
-            return raw
-        if key in _INT_FIELDS:
-            return int(raw)
-        return float(raw)
+        return _FIELD_TYPES[key](raw)
     except ValueError:
         raise InvalidParameter(
             f"line {line_no}: cannot parse value for {key!r}: "
             f"{line.strip()!r}") from None
 
 
-def parse_config(text: str, preset: str = "defaults-paper") -> RunConfig:
-    """Parse key = value lines over a named preset's defaults.
+def parse_config(text: str) -> RunConfig:
+    """Parse key = value lines over the RunConfig defaults.
 
     Unknown keys, malformed lines, and out-of-range values raise
     InvalidParameter naming the offending line.  '#' starts a comment.
     """
-    if preset not in PRESETS:
-        raise InvalidParameter(f"unknown preset {preset!r}; "
-                               f"available: {', '.join(PRESETS)}")
     cfg = RunConfig()
     for line_no, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -233,9 +227,9 @@ def parse_config(text: str, preset: str = "defaults-paper") -> RunConfig:
     return cfg
 
 
-def load_config(path: str, preset: str = "defaults-paper") -> RunConfig:
+def load_config(path: str) -> RunConfig:
     with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read(), preset=preset)
+        return parse_config(fh.read())
 
 
 _HEADER_COMMENTS = """\
@@ -247,18 +241,17 @@ _HEADER_COMMENTS = """\
 """
 
 
-def serialize_config(cfg: RunConfig) -> str:
+def _config_lines(cfg: RunConfig) -> list:
     # values are written bare (no quoting); parse takes them verbatim
-    lines = [_HEADER_COMMENTS]
-    for f in dataclasses.fields(RunConfig):
-        lines.append(f"{f.name} = {getattr(cfg, f.name)}")
-    return "\n".join(lines) + "\n"
+    return [f"{name} = {getattr(cfg, name)}" for name in _FIELD_TYPES]
+
+
+def serialize_config(cfg: RunConfig) -> str:
+    return "\n".join([_HEADER_COMMENTS] + _config_lines(cfg)) + "\n"
 
 
 def config_hash(cfg: RunConfig) -> str:
-    canonical = "\n".join(
-        f"{f.name} = {getattr(cfg, f.name)}"
-        for f in dataclasses.fields(RunConfig))
+    canonical = "\n".join(_config_lines(cfg))
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 

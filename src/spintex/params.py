@@ -85,8 +85,7 @@ def derive_params(p: PhysicalParams) -> DerivedParams:
     # xi_s = (8 pi |delta_a| n0)^(-1/2), lengths in a common unit
     xi_s = 1.0 / math.sqrt(8.0 * math.pi * abs(delta_a) * 1e-3 * n0_um3)
     q_hz = quadratic_zeeman(p.b0_mg, p.q_coeff_hz_g2)
-    mu_si = p.gf * cn.MUB_SI
-    e_d_hz = cn.MU0_SI * mu_si**2 * (n0_um3 / cn.UM**3) / 2.0 / cn.H_SI
+    e_d_hz = cn.dipolar_energy_hhz(n0_um3)
     column = math.sqrt(TWO_PI) * p.sigma_y_um
     return DerivedParams(
         abar_nm=abar,

@@ -84,6 +84,12 @@ def _measure_row(t_ms: float, psi: np.ndarray, evolver: Evolver,
     return row
 
 
+def _series(rows: list) -> OrderParamSeries:
+    """Column series from the per-time row dicts of _measure_row."""
+    return OrderParamSeries(
+        columns={key: np.array([r[key] for r in rows]) for key in rows[0]})
+
+
 def run_simulate(cfg: RunConfig, echo=None) -> RunResult:
     """Execute one run and write its output directory.
 
@@ -111,17 +117,14 @@ def run_simulate(cfg: RunConfig, echo=None) -> RunResult:
 
     regions = cfg.regions()
     background = cfg.resolved_background()
-    write_every = cfg.snapshot_write_every_ms
+    n_steps = cfg.steps(cfg.t_final_ms)
+    write_every = cfg.steps(cfg.snapshot_write_every_ms)
     rows = []
-    written = set()
 
-    def observer(t_ms, field):
+    def observer(n, field):
+        t_ms = n * cfg.dt_ms
         rows.append(_measure_row(t_ms, field, evolver, regions, background))
-        write_now = t_ms in (0.0, cfg.t_final_ms) or (
-            write_every > 0
-            and abs(t_ms / write_every - round(t_ms / write_every)) < 1e-9)
-        if write_now and t_ms not in written:
-            written.add(t_ms)
+        if n in (0, n_steps) or (write_every and n % write_every == 0):
             write_snapshot(os.path.join(run_dir, snapshot_name(t_ms)),
                            field, evolver.spec.grid, t_ms, digest)
         if echo is not None:
@@ -129,14 +132,10 @@ def run_simulate(cfg: RunConfig, echo=None) -> RunResult:
                  f"{rows[-1]['short_order'] / max(rows[-1]['total_power'], 1e-30):.4f}   "
                  f"vortices = {int(rows[-1]['n_vortices'])}")
 
-    observe_every = cfg.snapshot_every_ms if cfg.snapshot_every_ms > 0 \
-        else None
-    psi = evolve(psi, evolver, cfg.t_final_ms, schedule=schedule,
-                 observer=observer, observe_every_ms=observe_every)
+    psi = evolve(psi, evolver, n_steps, schedule=schedule, observer=observer,
+                 observe_every=cfg.steps(cfg.snapshot_every_ms))
 
-    cols = {key: np.array([r[key] for r in rows])
-            for key in rows[0].keys()}
-    series = OrderParamSeries(columns=cols)
+    series = _series(rows)
     write_timeseries(os.path.join(run_dir, "timeseries.csv"), series, digest)
     mark_done(run_dir)
     return RunResult(psi=psi, series=series, run_dir=run_dir,
@@ -177,8 +176,7 @@ def analyze_run(run_dir: str, echo=None) -> OrderParamSeries:
 
     rows = [_measure_row(t, psi, evolver, regions, background)
             for t, psi in snaps]
-    cols = {key: np.array([r[key] for r in rows]) for key in rows[0].keys()}
-    series = OrderParamSeries(columns=cols)
+    series = _series(rows)
     write_timeseries(os.path.join(run_dir, "analysis.csv"), series,
                      config_hash(cfg))
     if echo is not None:

@@ -18,7 +18,7 @@ from . import constants as cn
 from . import oracles
 from .dipole import (DipolarCoupling, helix_column_energy, interaction_kernel,
                      planar_tensor)
-from .dynamics import Evolver, EvolutionSpec
+from .dynamics import Evolver, EvolutionSpec, evolve
 from .field import rotate_spinor, spin_matrices
 from .grid import Grid2D
 from .params import default_params, derive_params
@@ -121,7 +121,7 @@ def check_single_site() -> CheckResult:
     psi = np.tile(psi_site[:, None, None] * math.sqrt(nbar),
                   (1, grid.nx, grid.nz)).astype(complex)
     t_final = 5.0
-    psi = evolver.run(psi, int(round(t_final / spec.dt_ms)))
+    psi = evolve(psi, evolver, int(round(t_final / spec.dt_ms)))
 
     # interaction kernel at k = 0 (minus the planar tensor's diagonal)
     q0 = np.diag([2.0 / 3.0, -4.0 / 3.0, 2.0 / 3.0]) \

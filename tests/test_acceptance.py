@@ -2,7 +2,7 @@
 
 Each test gathers its measurements, prints one summary line of the form
 "[criterion N] PASS/FAIL: ...", and then asserts every clause of that
-criterion. The dissolution, suppression, sweep, and trapped-cloud
+criterion. The dissolution, suppression, sweep, and vortex-statistics
 fixtures run the full pipeline at desk scale, so this module costs
 roughly fifteen to twenty minutes of wall time; deselect it with
 `pytest --ignore=tests/test_acceptance.py` for quick iteration.
@@ -28,7 +28,7 @@ from spintex import constants as cn
 from spintex import oracles
 from spintex.analysis import (RegionSpec, detect_vortices,
                               dominant_wavevector, power_spectrum)
-from spintex.dynamics import Evolver, EvolutionSpec
+from spintex.dynamics import Evolver, EvolutionSpec, evolve
 from spintex.field import (MagnetizationField, imprint_helix, magnetization,
                            spin_density, transverse_state)
 from spintex.grid import Grid2D
@@ -206,16 +206,17 @@ def test_criterion_3_integrator_invariants():
     ev = _make_evolver(g)
     n0 = ev.norm(psi)
     e0 = ev.energy_budget(psi)["e_total"]
-    psi = ev.run(psi, 3000)
+    psi = evolve(psi, ev, 3000)
     norm_drift = abs(ev.norm(psi) / n0 - 1.0)     # measured 5.3e-15
-    psi = ev.run(psi, 3000)                       # 300 ms in total
+    psi = evolve(psi, ev, 3000)                   # 300 ms in total
     energy_dev = abs(ev.energy_budget(psi)["e_total"] / e0 - 1.0)  # 1.2e-7
 
     # second-order convergence of the split step
     psi0 = imprint_helix(_uniform_transverse(g, D.n2d_peak), g, TWO_PI / 8.0)
 
     def run_at(dt):
-        return _make_evolver(g, dt=dt).run(psi0.copy(), int(round(2.0 / dt)))
+        return evolve(psi0.copy(), _make_evolver(g, dt=dt),
+                      int(round(2.0 / dt)))
 
     ref = run_at(0.00125)
     dts = np.array([0.05, 0.025, 0.0125])
@@ -227,7 +228,7 @@ def test_criterion_3_integrator_invariants():
     flat = _uniform_transverse(g, D.n2d_peak)
     ev_off = _make_evolver(g, q=0.0, mode="off")
     s0 = spin_density(flat)
-    still = ev_off.run(flat.copy(), 1000)         # 50 ms
+    still = evolve(flat.copy(), ev_off, 1000)     # 50 ms
     df = np.abs(spin_density(still) - s0).max() / D.n2d_peak  # 3.6e-15
 
     ok = (norm_drift <= 1e-8 and energy_dev <= 1e-4
@@ -318,7 +319,7 @@ def test_criterion_6_growth_rate_monotonic(pitch_sweep):
 # 7. Vortex detection pipeline
 # ---------------------------------------------------------------------------
 
-def test_criterion_7_vortex_pipeline(trapped_run, dissolution_run):
+def test_criterion_7_vortex_pipeline(vortex_run, dissolution_run):
     # synthetic single winding, boundary kept dark so the periodic
     # detector sees an isolated core
     g = Grid2D(nx=32, nz=32, lx=16.0, lz=16.0)
@@ -341,13 +342,13 @@ def test_criterion_7_vortex_pipeline(trapped_run, dissolution_run):
     helix = imprint_helix(_uniform_transverse(g, D.n2d_peak), g,
                           TWO_PI / 16.0)
     helix_m = magnetization(helix, g)
-    cfg, res = trapped_run
+    cfg, res = vortex_run
     _, slab_res = dissolution_run
     clean_ok = (len(detect_vortices(helix_m)) == 0
                 and res.series.n_vortices[0] == 0
                 and slab_res.series.n_vortices[0] == 0)
 
-    # count statistics across the trapped dissolution run
+    # count statistics across the strongly seeded dissolution run
     nv = np.asarray(res.series.n_vortices)
     short = np.asarray(res.series.short_order)
     rho = spearmanr(nv, short).statistic

@@ -69,7 +69,7 @@ def test_norm_drift_3000_steps():
     psi = psi * (1.0 + 1e-3 * (rng.standard_normal(psi.shape)
                                + 1j * rng.standard_normal(psi.shape)))
     n0 = ev.norm(psi)
-    psi = ev.run(psi, 3000)
+    psi = evolve(psi, ev, 3000)
     assert abs(ev.norm(psi) / n0 - 1.0) < 1e-8
 
 
@@ -78,7 +78,7 @@ def test_uniform_transverse_stationary_kernel_off():
     ev = make_evolver(g, q=0.0, mode="off")
     psi = uniform_transverse(g)
     s0 = spin_density(psi)
-    psi = ev.run(psi, 1000)               # 50 ms
+    psi = evolve(psi, ev, 1000)           # 50 ms
     ds = np.abs(spin_density(psi) - s0).max() / NBAR
     assert ds < 1e-6
 
@@ -122,7 +122,7 @@ def test_helix_matches_wound_single_site():
         transverse_state() * math.sqrt(NBAR), t, q_hz=0.0,
         c0n_hz=D.c0_2d * NBAR, c2_2d=D.c2_2d, c_dd=0.0,
         q_kin_hz=cn.EKIN_HHZ_PER_K2 * kappa**2)
-    psi = ev.run(psi, 1000)
+    psi = evolve(psi, ev, 1000)
     expected = imprint_helix(
         np.tile(ref[-1][:, None, None], (1, g.nx, g.nz)), g, kappa)
     err = np.abs(spin_density(psi) - spin_density(expected)).max() / NBAR
@@ -141,8 +141,8 @@ def test_roll_covariance():
     psi = imprint_helix(uniform_transverse(g), g, 2 * math.pi / 16.0)
     psi = psi * (1.0 + 1e-2 * (rng.standard_normal(psi.shape)
                                + 1j * rng.standard_normal(psi.shape)))
-    a = ev.run(np.roll(psi, 5, axis=2), 40)
-    b = np.roll(ev.run(psi, 40), 5, axis=2)
+    a = evolve(np.roll(psi, 5, axis=2), ev, 40)
+    b = np.roll(evolve(psi, ev, 40), 5, axis=2)
     assert np.abs(a - b).max() / np.abs(b).max() < 1e-10
 
 
@@ -153,7 +153,7 @@ def test_convergence_is_second_order():
 
     def run_at(dt):
         ev = make_evolver(g, dt=dt)
-        return ev.run(psi0.copy(), int(round(t_final / dt)))
+        return evolve(psi0.copy(), ev, int(round(t_final / dt)))
 
     ref = run_at(0.00125)
     dts = np.array([0.04, 0.02, 0.01])
@@ -170,7 +170,7 @@ def test_energy_conservation_short():
     psi = psi * (1.0 + 1e-3 * (rng.standard_normal(psi.shape)
                                + 1j * rng.standard_normal(psi.shape)))
     e0 = ev.energy_budget(psi)["e_total"]
-    psi = ev.run(psi, 1000)               # 50 ms
+    psi = evolve(psi, ev, 1000)           # 50 ms
     e1 = ev.energy_budget(psi)["e_total"]
     assert abs(e1 / e0 - 1.0) < 1e-4
 
@@ -295,14 +295,20 @@ def test_evolve_contract():
     ev = make_evolver(g, q=0.0, c0=0.0, c2=0.0, mode="off")
     psi = uniform_transverse(g)
     seen = []
-    out = evolve(psi, ev, 0.0, observer=lambda t, p: seen.append(t))
-    assert seen == [0.0]
+    out = evolve(psi, ev, 0, observer=lambda n, p: seen.append(n))
+    assert seen == [0]
     assert out is psi
     with pytest.raises(InvalidParameter):
-        evolve(psi, ev, 0.12)
+        evolve(psi, ev, -1)
     with pytest.raises(InvalidParameter):
-        evolve(psi, ev, 1.0, observer=lambda t, p: None,
-               observe_every_ms=0.12)
+        evolve(psi, ev, 20, observer=lambda n, p: None, observe_every=-1)
+    # step 0, every observe_every steps, and the last step once
+    seen = []
+    evolve(psi, ev, 7, observer=lambda n, p: seen.append(n), observe_every=3)
+    assert seen == [0, 3, 6, 7]
+    seen = []
+    evolve(psi, ev, 6, observer=lambda n, p: seen.append(n), observe_every=3)
+    assert seen == [0, 3, 6]
 
 
 def test_evolve_applies_pulse_at_next_boundary():
@@ -314,11 +320,10 @@ def test_evolve_applies_pulse_at_next_boundary():
                           t_final_ms=0.3)
     polar = {}
 
-    def watch(t, p):
-        polar[round(t, 2)] = spin_density(p)[2].mean() / NBAR
+    def watch(n, p):
+        polar[round(n * ev.spec.dt_ms, 2)] = spin_density(p)[2].mean() / NBAR
 
-    evolve(psi, ev, 0.3, schedule=sched, observer=watch,
-           observe_every_ms=0.05)
+    evolve(psi, ev, 6, schedule=sched, observer=watch, observe_every=1)
     assert abs(polar[0.10]) < 1e-12            # before the pulse
     assert abs(abs(polar[0.15]) - 1.0) < 1e-12  # rotated out of plane
     # the pulse is a passive rotation: it must match rotate_spinor
@@ -340,10 +345,10 @@ def test_cancellation_pulses_null_mean_dipolar_energy():
             ("plain", None),
             ("pulsed", make_cancellation_schedule(1.5, 100.0, seed=9))):
         ed = []
-        evolve(psi0.copy(), ev, 100.0, schedule=sched,
-               observer=lambda t, p: ed.append(
+        evolve(psi0.copy(), ev, 2000, schedule=sched,  # 100 ms
+               observer=lambda n, p: ed.append(
                    ev.energy_per_atom(p)["e_dipole"]),
-               observe_every_ms=0.25)
+               observe_every=5)
         means[label] = abs(np.mean(ed))
     assert 1.0 < means["plain"] < 1.2
     assert means["plain"] >= 5.0 * means["pulsed"]

@@ -48,11 +48,6 @@ def test_preset_defaults():
     assert cfg.potential == "harmonic"
 
 
-def test_unknown_preset():
-    with pytest.raises(InvalidParameter):
-        parse_config("", preset="defaults-v2")
-
-
 def test_parse_overrides_comments_and_normalization():
     text = """
     # a comment line
@@ -107,6 +102,19 @@ def test_profile_potential_pairing():
     assert cfg.profile == "uniform"
 
 
+def test_steps_counts_whole_time_steps():
+    cfg = parse_config("dt_ms = 0.05")
+    assert cfg.steps(0.0) == 0
+    assert cfg.steps(0.35) == 7            # 0.35 / 0.05 is 6.999999999999999
+    assert cfg.steps(250.0) == 5000
+    assert isinstance(cfg.steps(0.35), int)
+    for bad in (0.07, 0.051, float("nan"), float("inf")):
+        with pytest.raises(InvalidParameter, match="multiple of dt_ms"):
+            cfg.steps(bad)
+    with pytest.raises(InvalidParameter, match="t_final_ms"):
+        parse_config("t_final_ms = nan")
+
+
 def test_snapshot_cadence_pairing():
     with pytest.raises(InvalidParameter, match="snapshot_write_every_ms"):
         parse_config("snapshot_every_ms = 0\nsnapshot_write_every_ms = 5\n")
@@ -142,6 +150,7 @@ def test_config_hash_tracks_content():
     b = parse_config("rng_seed = 4321")
     ha, hb = config_hash(a), config_hash(b)
     assert ha != hb
+    assert ha == "49228222696c"     # meta files of the defaults still match
     assert len(ha) == 12
     int(ha, 16)
 

@@ -45,6 +45,15 @@ def test_zero_time_run_writes_one_snapshot(tmp_path):
     assert result.psi.shape == (3, cfg.nx, cfg.nz)
 
 
+def test_final_snapshot_written_at_inexact_final_time(tmp_path):
+    # 7 steps of 0.05 ms end at 0.35000000000000003 ms, not at 0.35
+    cfg = small_cfg(tmp_path, t_final_ms=0.35)
+    result = run_simulate(cfg)
+    assert list(result.series.t_ms) == [0.0, 0.25, 7 * 0.05]
+    assert os.path.exists(os.path.join(result.run_dir, "snap_t0.35.txt"))
+    assert len(analyze_run(result.run_dir)) == 2
+
+
 def test_initial_field_protocol(tmp_path):
     cfg = small_cfg(tmp_path, noise_amplitude=0.0, helix_pitch_um=0.0)
     noise_rng, _ = _streams(cfg.rng_seed)
