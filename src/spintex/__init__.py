@@ -5,8 +5,7 @@ __version__ = "0.1.0"
 from .errors import (GridMismatch, InvalidParameter, NumericalFailure,
                      SpintexError)
 from .grid import Grid2D
-from .params import (DerivedParams, PhysicalParams, default_params,
-                     derive_params)
+from .params import DerivedParams, derive_params
 from .field import (InitialState, MagnetizationField, add_noise,
                     imprint_helix, magnetization, number_density,
                     prepare_initial, rotate_spinor, spin_density,
@@ -27,8 +26,7 @@ from .selfcheck import run_selfcheck
 __all__ = [
     "__version__",
     "SpintexError", "InvalidParameter", "GridMismatch", "NumericalFailure",
-    "Grid2D", "PhysicalParams", "DerivedParams", "default_params",
-    "derive_params",
+    "Grid2D", "DerivedParams", "derive_params",
     "InitialState", "MagnetizationField", "add_noise", "imprint_helix",
     "magnetization", "number_density", "prepare_initial", "rotate_spinor",
     "spin_density", "transverse_state",

@@ -10,6 +10,7 @@ usage error, 2 numerical failure.
 import argparse
 import sys
 
+from .dipole import KERNEL_MODES
 from .errors import InvalidParameter, NumericalFailure, SpintexError
 from .io_text import RunConfig, load_config, parse_config
 
@@ -31,7 +32,7 @@ def _add_config_flags(sub, seedable=True):
                          help="override rng_seed")
         sub.add_argument("--out", metavar="<dir>",
                          help="override output directory")
-        sub.add_argument("--dipoles", choices=("bare", "larmor", "off"),
+        sub.add_argument("--dipoles", choices=KERNEL_MODES,
                          help="override dipolar kernel mode")
         sub.add_argument("--cancel-pulses", type=float, metavar="<rate_khz>",
                          help="override cancellation pulse rate (kHz)")
@@ -89,7 +90,7 @@ def main(argv=None) -> int:
         if args.command == "constants":
             from .params import derived_table
             cfg = _build_config(args, seedable=False)
-            print(derived_table(cfg.physical_params()))
+            print(derived_table(cfg))
         elif args.command == "simulate":
             from .runner import run_simulate
             cfg = _build_config(args)

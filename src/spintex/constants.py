@@ -23,10 +23,6 @@ MUB_SI = 9.2740100783e-24        # J T^-1
 MASS_RB87_SI = 1.4431609e-25     # kg
 GF = 0.5                         # Lande g-factor magnitude
 
-# scattering lengths, nm
-A0_NM = 5.39
-A2_NM = 5.31
-
 # metric prefixes
 UM = 1e-6                        # m per um
 MS = 1e-3                        # s per ms

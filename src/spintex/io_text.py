@@ -20,7 +20,6 @@ from .analysis import SERIES_COLUMNS, OrderParamSeries, RegionSpec
 from .dipole import normalize_mode
 from .errors import InvalidParameter
 from .grid import Grid2D
-from .params import PhysicalParams, derive_params, trap_curvatures_hhz_um2
 
 POTENTIALS = ("none", "harmonic")
 PROFILES = ("uniform", "thomas-fermi")
@@ -32,20 +31,21 @@ class RunConfig:
 
     Defaults reproduce the reference parameter set: 87Rb F=1 scattering
     lengths, peak density 2.3e14 cm^-3, bias field 165 mG, trap
-    frequencies (39, 440, 4.2) Hz.
+    frequencies (39, 440, 4.2) Hz.  This is the only record of the
+    physical inputs; params.derive_params reads them from here.
     """
 
     # physical parameters
     a0_nm: float = 5.39
     a2_nm: float = 5.31
-    n0_cm3: float = 2.3e14
+    n0_cm3: float = 2.3e14          # peak 3D density
     atom_number: float = 1.86e6
-    b0_mg: float = 165.0
-    q_coeff_hz_g2: float = 71.6
+    b0_mg: float = 165.0            # bias field along z
+    q_coeff_hz_g2: float = 71.6     # quadratic Zeeman coefficient
     trap_x_hz: float = 39.0
     trap_y_hz: float = 440.0
     trap_z_hz: float = 4.2
-    sigma_y_um: float = 1.8 / math.sqrt(5.0)
+    sigma_y_um: float = 1.8 / math.sqrt(5.0)   # transverse Gaussian width
     # grid
     nx: int = 128
     nz: int = 512
@@ -58,7 +58,7 @@ class RunConfig:
     snapshot_write_every_ms: float = 0.0
     kernel_mode: str = "larmor"
     residual_gradient_mg_cm: float = 0.0
-    potential: str = "harmonic"
+    potential: str = "harmonic"     # must match profile, which sets the trap
     profile: str = "thomas-fermi"
     box_fill: float = 1.0
     # protocol
@@ -66,25 +66,15 @@ class RunConfig:
     noise_amplitude: float = 1e-3
     cancel_pulse_rate_khz: float = 0.0
     # analysis regions
-    k_cut_rad_um: float = 2.0 * math.pi / 25.0
-    k_lo_rad_um: float = 2.0 * math.pi / 15.0
-    k_hi_rad_um: float = 2.0 * math.pi / 6.0
+    k_cut_rad_um: float = RegionSpec.k_cut
+    k_lo_rad_um: float = RegionSpec.k_lo
+    k_hi_rad_um: float = RegionSpec.k_hi
     background: str = "auto"
     # bookkeeping
     out_dir: str = "runs/run0"
     rng_seed: int = 1234
 
     # -- derived views -------------------------------------------------
-
-    def physical_params(self) -> PhysicalParams:
-        return PhysicalParams(
-            a0_nm=self.a0_nm, a2_nm=self.a2_nm, n0_cm3=self.n0_cm3,
-            atom_number=self.atom_number, b0_mg=self.b0_mg,
-            q_coeff_hz_g2=self.q_coeff_hz_g2,
-            trap_omega=(2.0 * math.pi * self.trap_x_hz,
-                        2.0 * math.pi * self.trap_y_hz,
-                        2.0 * math.pi * self.trap_z_hz),
-            sigma_y_um=self.sigma_y_um)
 
     def grid(self) -> Grid2D:
         return Grid2D(nx=self.nx, nz=self.nz, lx=self.lx_um, lz=self.lz_um)
@@ -110,10 +100,24 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         self.kernel_mode = normalize_mode(self.kernel_mode)
-        p = self.physical_params()
-        p.validate()
-        derive_params(p)
-        trap_curvatures_hhz_um2(p)
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if kind is float and not (isinstance(value, (int, float))
+                                      and math.isfinite(value)):
+                raise InvalidParameter(
+                    f"{name} must be a finite number, got {value!r}")
+        for name in _POSITIVE:
+            if getattr(self, name) <= 0:
+                raise InvalidParameter(
+                    f"{name} must be positive, got {getattr(self, name)!r}")
+        for name in _NONNEGATIVE:
+            if getattr(self, name) < 0:
+                raise InvalidParameter(
+                    f"{name} must be >= 0, got {getattr(self, name)!r}")
+        if self.a0_nm == self.a2_nm:
+            raise InvalidParameter(
+                f"a0_nm and a2_nm must differ (the spin healing length "
+                f"diverges), got {self.a0_nm!r} for both")
         grid = self.grid()
         regions = self.regions()
         regions.check_grid(grid)
@@ -123,11 +127,8 @@ class RunConfig:
         counts = {}
         for key in ("t_final_ms", "snapshot_every_ms",
                     "snapshot_write_every_ms"):
-            val = getattr(self, key)
-            if val < 0:
-                raise InvalidParameter(f"{key} must be >= 0, got {val!r}")
             try:
-                counts[key] = self.steps(val)
+                counts[key] = self.steps(getattr(self, key))
             except InvalidParameter as exc:
                 raise InvalidParameter(f"{key}: {exc}") from None
         if counts["snapshot_write_every_ms"]:
@@ -154,21 +155,6 @@ class RunConfig:
         if not (0.0 < self.box_fill <= 1.0):
             raise InvalidParameter(
                 f"box_fill must lie in (0, 1], got {self.box_fill!r}")
-        if self.helix_pitch_um < 0:
-            raise InvalidParameter(
-                f"helix_pitch_um must be >= 0, got {self.helix_pitch_um!r}")
-        if self.noise_amplitude < 0:
-            raise InvalidParameter(
-                f"noise_amplitude must be >= 0, "
-                f"got {self.noise_amplitude!r}")
-        if self.cancel_pulse_rate_khz < 0:
-            raise InvalidParameter(
-                f"cancel_pulse_rate_khz must be >= 0, "
-                f"got {self.cancel_pulse_rate_khz!r}")
-        if self.residual_gradient_mg_cm < 0:
-            raise InvalidParameter(
-                f"residual_gradient_mg_cm must be >= 0, "
-                f"got {self.residual_gradient_mg_cm!r}")
         if not isinstance(self.background, str):
             self.background = repr(float(self.background))
         if self.background != "auto":
@@ -178,9 +164,10 @@ class RunConfig:
                 raise InvalidParameter(
                     f"background must be a number or 'auto', "
                     f"got {self.background!r}") from None
-            if bg < 0:
+            if not (math.isfinite(bg) and bg >= 0):
                 raise InvalidParameter(
-                    f"background must be >= 0, got {self.background!r}")
+                    f"background must be a finite number >= 0, "
+                    f"got {self.background!r}")
         if not isinstance(self.rng_seed, int) or self.rng_seed < 0:
             raise InvalidParameter(
                 f"rng_seed must be a nonnegative integer, "
@@ -189,6 +176,12 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+_POSITIVE = ("a0_nm", "a2_nm", "n0_cm3", "atom_number", "sigma_y_um",
+             "q_coeff_hz_g2")
+_NONNEGATIVE = ("b0_mg", "trap_x_hz", "trap_y_hz", "trap_z_hz",
+                "t_final_ms", "snapshot_every_ms", "snapshot_write_every_ms",
+                "residual_gradient_mg_cm", "helix_pitch_um",
+                "noise_amplitude", "cancel_pulse_rate_khz")
 
 
 def _convert(key: str, raw: str, line_no: int, line: str):
@@ -356,7 +349,8 @@ def read_timeseries(path: str) -> OrderParamSeries:
 # ---------------------------------------------------------------------------
 
 def snapshot_name(time_ms: float) -> str:
-    return f"snap_t{time_ms:g}.txt"
+    # 12 significant digits: distinct times past 10 s keep distinct names
+    return f"snap_t{time_ms:.12g}.txt"
 
 
 def write_meta(run_dir: str, cfg: RunConfig) -> None:

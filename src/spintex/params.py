@@ -1,14 +1,14 @@
-"""Experiment parameters and closed-form derived quantities.
+"""Closed-form quantities derived from the physical inputs of a run.
 
 All derived energies are expressed as E/h in Hz, lengths in um, times
-in ms.  ``DerivedParams`` is a pure function of ``PhysicalParams``:
+in ms.  The functions here read the physical fields of a validated
+``RunConfig`` by name (scattering lengths, density, field, trap,
+transverse width); ``DerivedParams`` is a pure function of them:
 identical inputs give bit-identical outputs.
 """
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import constants as cn
 from .errors import InvalidParameter
@@ -17,43 +17,8 @@ TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
-class PhysicalParams:
-    """Inputs describing the atomic species, cloud, field, and trap."""
-
-    a0_nm: float = 5.39
-    a2_nm: float = 5.31
-    n0_cm3: float = 2.3e14            # peak 3D density
-    atom_number: float = 1.86e6
-    b0_mg: float = 165.0              # ambient field along z
-    trap_omega: tuple = (TWO_PI * 39.0, TWO_PI * 440.0, TWO_PI * 4.2)  # rad/s
-    sigma_y_um: float = 1.8 / math.sqrt(5.0)   # transverse Gaussian width
-    q_coeff_hz_g2: float = 71.6       # quadratic Zeeman coefficient
-    mass_kg: float = cn.MASS_RB87_SI
-    gf: float = cn.GF
-
-    def validate(self) -> None:
-        for name in ("a0_nm", "a2_nm", "n0_cm3", "atom_number",
-                     "sigma_y_um", "mass_kg"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)
-                    and value > 0):
-                raise InvalidParameter(f"{name} must be positive, got {value!r}")
-        if self.b0_mg < 0:
-            raise InvalidParameter(f"b0_mg must be >= 0, got {self.b0_mg!r}")
-        if len(self.trap_omega) != 3 or any(w < 0 for w in self.trap_omega):
-            raise InvalidParameter(f"trap_omega must be three nonnegative "
-                                   f"rates, got {self.trap_omega!r}")
-        if self.q_coeff_hz_g2 <= 0:
-            raise InvalidParameter(f"q_coeff_hz_g2 must be positive, "
-                                   f"got {self.q_coeff_hz_g2!r}")
-        if self.gf != 0.5:
-            raise InvalidParameter(f"gf must be 1/2 for this system, "
-                                   f"got {self.gf!r}")
-
-
-@dataclass(frozen=True)
 class DerivedParams:
-    """Closed-form quantities computed once from PhysicalParams."""
+    """Closed-form quantities computed once from a RunConfig."""
 
     abar_nm: float          # (2 a2 + a0)/3
     delta_a_nm: float       # (a2 - a0)/3, signed
@@ -72,21 +37,20 @@ class DerivedParams:
                             # integrated in the frame rotating at this rate)
 
 
-def derive_params(p: PhysicalParams) -> DerivedParams:
-    """Populate every derived field from the physical inputs."""
-    p.validate()
-    abar = (2.0 * p.a2_nm + p.a0_nm) / 3.0
-    delta_a = (p.a2_nm - p.a0_nm) / 3.0
+def derive_params(cfg) -> DerivedParams:
+    """Populate every derived field from a validated RunConfig."""
+    abar = (2.0 * cfg.a2_nm + cfg.a0_nm) / 3.0
+    delta_a = (cfg.a2_nm - cfg.a0_nm) / 3.0
     a_d = cn.dipole_length_nm()
     c0 = cn.contact_coupling_hhz_um3(abar)
     c2 = cn.contact_coupling_hhz_um3(delta_a)
     c_dd = cn.CDD_HHZ_UM3
-    n0_um3 = p.n0_cm3 * 1e-12
+    n0_um3 = cfg.n0_cm3 * 1e-12
     # xi_s = (8 pi |delta_a| n0)^(-1/2), lengths in a common unit
     xi_s = 1.0 / math.sqrt(8.0 * math.pi * abs(delta_a) * 1e-3 * n0_um3)
-    q_hz = quadratic_zeeman(p.b0_mg, p.q_coeff_hz_g2)
+    q_hz = quadratic_zeeman(cfg.b0_mg, cfg.q_coeff_hz_g2)
     e_d_hz = cn.dipolar_energy_hhz(n0_um3)
-    column = math.sqrt(TWO_PI) * p.sigma_y_um
+    column = math.sqrt(TWO_PI) * cfg.sigma_y_um
     return DerivedParams(
         abar_nm=abar,
         delta_a_nm=delta_a,
@@ -101,11 +65,11 @@ def derive_params(p: PhysicalParams) -> DerivedParams:
         n2d_peak=column * n0_um3,
         c0_2d=c0 / column,
         c2_2d=c2 / column,
-        larmor_hz=cn.LARMOR_HZ_PER_G * p.b0_mg * 1e-3,
+        larmor_hz=cn.LARMOR_HZ_PER_G * cfg.b0_mg * 1e-3,
     )
 
 
-def quadratic_zeeman(b0_mg: float, q_coeff_hz_g2: float = 71.6) -> float:
+def quadratic_zeeman(b0_mg: float, q_coeff_hz_g2: float) -> float:
     """Quadratic Zeeman energy q = q_coeff * B0^2 in h*Hz for B0 in mG."""
     if b0_mg < 0:
         raise InvalidParameter(f"field must be >= 0, got {b0_mg!r}")
@@ -140,40 +104,37 @@ def gradient_winding_rate(gradient_mg_cm: float) -> float:
     return cn.GRAD_COEF * gradient_mg_cm
 
 
-def trap_curvatures_hhz_um2(p: PhysicalParams) -> tuple:
+def trap_curvatures_hhz_um2(cfg) -> tuple:
     """(vx, vz) with V(x,z) = vx x^2 + vz z^2 in h*Hz for x, z in um."""
-    ox, _, oz = p.trap_omega
-    vx = p.mass_kg * ox**2 * cn.UM**2 / (2.0 * cn.H_SI)
-    vz = p.mass_kg * oz**2 * cn.UM**2 / (2.0 * cn.H_SI)
+    ox = TWO_PI * cfg.trap_x_hz
+    oz = TWO_PI * cfg.trap_z_hz
+    vx = cn.MASS_RB87_SI * ox**2 * cn.UM**2 / (2.0 * cn.H_SI)
+    vz = cn.MASS_RB87_SI * oz**2 * cn.UM**2 / (2.0 * cn.H_SI)
     return vx, vz
 
 
-def default_params() -> PhysicalParams:
-    return PhysicalParams()
-
-
-def derived_table(p: PhysicalParams) -> str:
+def derived_table(cfg) -> str:
     """Human-readable table of inputs and every derived quantity."""
-    d = derive_params(p)
+    d = derive_params(cfg)
     ek50 = helix_kinetic_energy(TWO_PI / 50.0)
     ek_mod = cn.EKIN_HHZ_PER_K2 * (TWO_PI / 10.0) ** 2 / 4.0
     rows = [
-        ("a0", f"{p.a0_nm:.4f} nm"),
-        ("a2", f"{p.a2_nm:.4f} nm"),
+        ("a0", f"{cfg.a0_nm:.4f} nm"),
+        ("a2", f"{cfg.a2_nm:.4f} nm"),
         ("abar = (2 a2 + a0)/3", f"{d.abar_nm:.6f} nm"),
         ("delta_a = (a2 - a0)/3", f"{d.delta_a_nm:.6f} nm"),
         ("a_d", f"{d.a_d_nm:.6f} nm"),
         ("a_d / |delta_a|", f"{d.a_d_nm / abs(d.delta_a_nm):.6f}"),
-        ("n0", f"{p.n0_cm3:.4e} cm^-3"),
+        ("n0", f"{cfg.n0_cm3:.4e} cm^-3"),
         ("peak column density", f"{d.n2d_peak:.4f} um^-2"),
-        ("sigma_y", f"{p.sigma_y_um:.6f} um"),
+        ("sigma_y", f"{cfg.sigma_y_um:.6f} um"),
         ("c0", f"{d.c0:.6f} h Hz um^3"),
         ("c2", f"{d.c2:.6f} h Hz um^3"),
         ("c_dd", f"{d.c_dd:.6e} h Hz um^3"),
         ("c0 n0", f"{d.c0 * d.n0_um3:.4f} h Hz"),
         ("c2 n0", f"{d.c2 * d.n0_um3:.5f} h Hz"),
         ("xi_s", f"{d.xi_s_um:.6f} um"),
-        ("B0", f"{p.b0_mg:.2f} mG"),
+        ("B0", f"{cfg.b0_mg:.2f} mG"),
         ("q", f"{d.q_hz:.6f} h Hz"),
         ("q/2", f"{d.q_hz / 2.0:.6f} h Hz"),
         ("E_d = mu0 gF^2 muB^2 n0 / 2", f"{d.e_d_hz:.6f} h Hz"),

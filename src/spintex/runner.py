@@ -41,23 +41,18 @@ def _streams(seed: int) -> tuple:
 
 def build_evolver(cfg: RunConfig) -> tuple:
     """(evolver, initial state) for a validated config."""
-    params = cfg.physical_params()
-    derived = derive_params(params)
+    derived = derive_params(cfg)
     grid = cfg.grid()
-    if cfg.potential == "harmonic":
-        vx, vz = trap_curvatures_hhz_um2(params)
-    else:
-        vx = vz = 0.0
+    vx, vz = trap_curvatures_hhz_um2(cfg)
     state = prepare_initial(grid, cfg.profile, cfg.atom_number,
                             derived.c0_2d, vx=vx, vz=vz,
                             box_fill=cfg.box_fill)
-    potential = state.potential if cfg.potential == "harmonic" else None
     spec = EvolutionSpec(grid=grid, dt_ms=cfg.dt_ms, q_hz=derived.q_hz,
                          c0_2d=derived.c0_2d, c2_2d=derived.c2_2d,
                          sigma_y_um=cfg.sigma_y_um, c_dd=derived.c_dd,
                          kernel_mode=cfg.kernel_mode,
                          gradient_mg_cm=cfg.residual_gradient_mg_cm)
-    return Evolver(spec, potential=potential), state
+    return Evolver(spec, potential=state.potential), state
 
 
 def initial_field(cfg: RunConfig, noise_rng: np.random.Generator,

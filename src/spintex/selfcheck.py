@@ -21,9 +21,10 @@ from .dipole import (DipolarCoupling, helix_column_energy, interaction_kernel,
 from .dynamics import Evolver, EvolutionSpec, evolve
 from .field import rotate_spinor, spin_matrices
 from .grid import Grid2D
-from .params import default_params, derive_params
+from .io_text import RunConfig
+from .params import derive_params
 
-SIGMA_Y = 1.8 / math.sqrt(5.0)
+SIGMA_Y = RunConfig.sigma_y_um
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,7 @@ def check_fft_vs_direct() -> CheckResult:
 
 def check_column_closed_form() -> CheckResult:
     """Closed-form wound-column energy vs 1D adaptive quadrature."""
-    derived = derive_params(default_params())
+    derived = derive_params(RunConfig())
     n0 = derived.n0_um3
     err = 0.0
     for kappa in (0.0, 2 * math.pi / 50, 2 * math.pi / 10, 2 * math.pi / 5,
@@ -92,7 +93,7 @@ def check_column_closed_form() -> CheckResult:
 
 def check_column_3d() -> CheckResult:
     """Wound-column energy vs direct 3D real-space integration."""
-    derived = derive_params(default_params())
+    derived = derive_params(RunConfig())
     n0 = derived.n0_um3
     err = 0.0
     vals = []
@@ -109,7 +110,7 @@ def check_column_3d() -> CheckResult:
 def check_single_site() -> CheckResult:
     """Grid stepper on a uniform field vs an adaptive ODE reference."""
     grid = Grid2D(nx=8, nz=8, lx=4.0, lz=4.0)
-    derived = derive_params(default_params())
+    derived = derive_params(RunConfig())
     nbar = derived.n2d_peak
     spec = EvolutionSpec(grid=grid, dt_ms=1e-3, q_hz=derived.q_hz,
                          c0_2d=derived.c0_2d, c2_2d=derived.c2_2d,

@@ -33,13 +33,12 @@ from spintex.field import (MagnetizationField, imprint_helix, magnetization,
                            spin_density, transverse_state)
 from spintex.grid import Grid2D
 from spintex.io_text import RunConfig, read_snapshot, snapshot_name
-from spintex.params import (default_params, derive_params,
-                            helix_kinetic_energy)
+from spintex.params import derive_params, helix_kinetic_energy
 from spintex.runner import run_simulate, run_sweep_kappa
 from spintex.selfcheck import run_selfcheck
 
 TWO_PI = 2.0 * math.pi
-P = default_params()
+P = RunConfig()
 D = derive_params(P)
 
 

@@ -6,10 +6,10 @@ import pytest
 
 from spintex.cli import main
 from spintex.errors import NumericalFailure
-from spintex.io_text import is_complete
-from spintex.params import default_params, derive_params
+from spintex.io_text import RunConfig, is_complete
+from spintex.params import derive_params
 
-D = derive_params(default_params())
+D = derive_params(RunConfig())
 
 SMALL = """
 profile = uniform
@@ -86,6 +86,13 @@ def test_invalid_config_exits_one(tmp_path, capsys):
     assert main(["simulate", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert "dt_ms" in err
+
+
+def test_constants_rejects_equal_scattering_lengths(tmp_path, capsys):
+    path = tmp_path / "cfg"
+    path.write_text("a2_nm = 5.39\n")
+    assert main(["constants", "--config", str(path)]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_one(capsys):

@@ -8,7 +8,8 @@ from spintex.dipole import (DipolarCoupling, helix_column_energy,
                             interaction_kernel, normalize_mode, planar_tensor)
 from spintex.errors import InvalidParameter
 from spintex.grid import Grid2D
-from spintex.params import default_params, derive_params
+from spintex.io_text import RunConfig
+from spintex.params import derive_params
 
 SIGMA_Y = 1.8 / math.sqrt(5.0)
 
@@ -128,7 +129,7 @@ def test_helix_column_energy_frozen():
 
 
 def test_helix_column_energy_limits():
-    d = derive_params(default_params())
+    d = derive_params(RunConfig())
     e_d = d.e_d_hz
     assert helix_column_energy(0.0, SIGMA_Y, 230.0) \
         == pytest.approx(e_d / 3.0, rel=1e-12)

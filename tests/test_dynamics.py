@@ -13,9 +13,10 @@ from spintex.errors import InvalidParameter, NumericalFailure
 from spintex.field import (add_noise, imprint_helix, number_density,
                            rotate_spinor, spin_density, transverse_state)
 from spintex.grid import Grid2D
-from spintex.params import default_params, derive_params
+from spintex.io_text import RunConfig
+from spintex.params import derive_params
 
-D = derive_params(default_params())
+D = derive_params(RunConfig())
 SIGMA_Y = 1.8 / math.sqrt(5.0)
 NBAR = D.n2d_peak
 

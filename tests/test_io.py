@@ -115,6 +115,23 @@ def test_steps_counts_whole_time_steps():
         parse_config("t_final_ms = nan")
 
 
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(RunConfig)
+                if f.type is float]
+
+
+@pytest.mark.parametrize("key", FLOAT_FIELDS + ["background"])
+def test_non_finite_values_rejected(key):
+    for raw in ("nan", "inf"):
+        with pytest.raises(InvalidParameter, match=key):
+            parse_config(f"{key} = {raw}")
+
+
+def test_equal_scattering_lengths_rejected():
+    # delta_a = 0 makes the spin healing length infinite
+    with pytest.raises(InvalidParameter, match="a0_nm and a2_nm"):
+        parse_config("a2_nm = 5.39")
+
+
 def test_snapshot_cadence_pairing():
     with pytest.raises(InvalidParameter, match="snapshot_write_every_ms"):
         parse_config("snapshot_every_ms = 0\nsnapshot_write_every_ms = 5\n")
@@ -208,6 +225,9 @@ def test_snapshot_name():
     assert snapshot_name(5.0) == "snap_t5.txt"
     assert snapshot_name(12.5) == "snap_t12.5.txt"
     assert snapshot_name(0.0) == "snap_t0.txt"
+    # times past 10 s that differ in the sixth significant digit
+    assert snapshot_name(12345.6) == "snap_t12345.6.txt"
+    assert snapshot_name(12345.65) == "snap_t12345.65.txt"
 
 
 # ---------------------------------------------------------------------------

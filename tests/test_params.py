@@ -3,7 +3,8 @@ import math
 import pytest
 
 from spintex.errors import InvalidParameter
-from spintex.params import (default_params, derive_params, derived_table,
+from spintex.io_text import RunConfig
+from spintex.params import (derive_params, derived_table,
                             gradient_winding_rate, helix_kinetic_energy,
                             helix_pitch, helix_wavevector, quadratic_zeeman,
                             trap_curvatures_hhz_um2)
@@ -11,7 +12,7 @@ from spintex.params import (default_params, derive_params, derived_table,
 
 @pytest.fixture(scope="module")
 def derived():
-    return derive_params(default_params())
+    return derive_params(RunConfig())
 
 
 def test_scattering_length_combinations(derived):
@@ -34,7 +35,7 @@ def test_contact_couplings(derived):
 def test_densities(derived):
     assert derived.n0_um3 == 230.0
     # peak column density through the sigma_y Gaussian: sqrt(2 pi) sigma n0
-    sigma = default_params().sigma_y_um
+    sigma = RunConfig().sigma_y_um
     assert abs(derived.n2d_peak - math.sqrt(2 * math.pi) * sigma * 230.0) \
         < 1e-9
     assert abs(derived.n2d_peak - 464.0933) < 1e-4
@@ -42,7 +43,7 @@ def test_densities(derived):
 
 def test_planar_couplings(derived):
     # 2D couplings: peak-matched reduction through the transverse Gaussian
-    sigma = default_params().sigma_y_um
+    sigma = RunConfig().sigma_y_um
     overlap = math.sqrt(2.0 * math.pi) * sigma
     assert abs(derived.c0_2d - derived.c0 / overlap) < 1e-12
     assert abs(derived.c0_2d - 3.8653074376) < 1e-9
@@ -96,7 +97,7 @@ def test_gradient_winding_rate():
 
 
 def test_trap_curvatures():
-    vx, vz = trap_curvatures_hhz_um2(default_params())
+    vx, vz = trap_curvatures_hhz_um2(RunConfig())
     assert abs(vx - 6.5390954926) < 1e-9
     assert abs(vz - 0.0758380306) < 1e-9
     # m omega^2 x^2 / 2 at 1 um, converted to h*Hz
@@ -105,15 +106,15 @@ def test_trap_curvatures():
 
 def test_validation_errors():
     import dataclasses
-    base = default_params()
+    base = RunConfig()
     for bad in (dict(n0_cm3=-1.0), dict(b0_mg=-1.0), dict(sigma_y_um=0.0),
                 dict(a0_nm=0.0)):
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter, match=next(iter(bad))):
             dataclasses.replace(base, **bad).validate()
 
 
 def test_derived_table(derived):
-    table = derived_table(default_params())
+    table = derived_table(RunConfig())
     assert "xi_s" in table
     assert "2.547017" in table
     assert "4.689503" in table

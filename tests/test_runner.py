@@ -10,11 +10,11 @@ from spintex.errors import InvalidParameter
 from spintex.field import spin_density
 from spintex.io_text import (RunConfig, is_complete, parse_config,
                              read_snapshot, read_timeseries)
-from spintex.params import default_params, derive_params
+from spintex.params import derive_params
 from spintex.runner import (analyze_run, build_evolver, initial_field,
                             run_simulate, run_sweep_kappa, _streams)
 
-D = derive_params(default_params())
+D = derive_params(RunConfig())
 
 
 def small_cfg(tmp_path, **over):
