@@ -16,12 +16,11 @@ from .dynamics import (Evolver, EvolutionSpec, PulseEvent, PulseSchedule,
 from .analysis import (OrderParamSeries, PowerSpectrum, RegionSpec, Vortex,
                        VortexSet, correlation, detect_vortices,
                        dominant_wavevector, growth_rate, order_parameters,
-                       power_spectrum, sixfold_anisotropy)
+                       power_spectrum)
 from .io_text import (RunConfig, config_hash, load_config, parse_config,
                       read_snapshot, read_timeseries, serialize_config,
                       write_snapshot, write_timeseries)
 from .runner import RunResult, analyze_run, run_simulate, run_sweep_kappa
-from .selfcheck import run_selfcheck
 
 __all__ = [
     "__version__",
@@ -35,10 +34,9 @@ __all__ = [
     "make_cancellation_schedule",
     "OrderParamSeries", "PowerSpectrum", "RegionSpec", "Vortex", "VortexSet",
     "correlation", "detect_vortices", "dominant_wavevector", "growth_rate",
-    "order_parameters", "power_spectrum", "sixfold_anisotropy",
+    "order_parameters", "power_spectrum",
     "RunConfig", "config_hash", "load_config", "parse_config",
     "read_snapshot", "read_timeseries", "serialize_config", "write_snapshot",
     "write_timeseries",
     "RunResult", "analyze_run", "run_simulate", "run_sweep_kappa",
-    "run_selfcheck",
 ]

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .errors import GridMismatch, InvalidParameter
+from .errors import InvalidParameter
 from .field import MagnetizationField
 from .grid import Grid2D
 
@@ -101,23 +101,6 @@ def dominant_wavevector(ps: PowerSpectrum, k_min: float) -> float:
     masked = np.where(kmag > k_min, ps.p, -np.inf)
     idx = np.unravel_index(int(np.argmax(masked)), masked.shape)
     return float(kmag[idx])
-
-
-def sixfold_anisotropy(ps: PowerSpectrum, regions: RegionSpec) -> float:
-    """Relative sixfold harmonic of the annulus power vs mode angle.
-
-    Exploratory diagnostic: |sum P e^{-6 i phi}| / sum P over the
-    short-wavelength annulus; 0 for an isotropic ring, 1 for a pure
-    sixfold pattern.
-    """
-    kmag = ps.kmag
-    sel = (kmag >= regions.k_lo) & (kmag <= regions.k_hi)
-    total = float(ps.p[sel].sum())
-    if total <= 0.0:
-        return 0.0
-    phi = np.arctan2(ps.kz[None, :], ps.kx[:, None])[sel]
-    harmonic = (ps.p[sel] * np.exp(-6j * phi)).sum()
-    return float(abs(harmonic)) / total
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,15 @@
 Subcommands: constants (print the derived parameter table), simulate
 (one run to an output directory), analyze (recompute observables from
 stored snapshots), sweep-kappa (growth rate vs helix pitch), selfcheck
-(cross-validation battery).  Exit codes: 0 success, 1 validation or
-usage error, 2 numerical failure.
+(cross-validation battery).  Progress goes through the "spintex"
+logger, which main sends to stdout: simulate and analyze print one line
+per observed time, sweep-kappa the lines of each run plus one per pitch.
+Errors go to stderr.  Exit codes: 0 success, 1 validation or usage
+error, 2 numerical failure.
 """
 
 import argparse
+import logging
 import sys
 
 from .dipole import KERNEL_MODES
@@ -86,6 +90,12 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    log = logging.getLogger("spintex")
+    handler = logging.StreamHandler(sys.stdout)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
     try:
         if args.command == "constants":
             from .params import derived_table
@@ -94,12 +104,12 @@ def main(argv=None) -> int:
         elif args.command == "simulate":
             from .runner import run_simulate
             cfg = _build_config(args)
-            result = run_simulate(cfg, echo=print)
+            result = run_simulate(cfg)
             print(f"run complete: {result.run_dir} "
                   f"(config {result.cfg_hash})")
         elif args.command == "analyze":
             from .runner import analyze_run
-            analyze_run(args.run_dir, echo=print)
+            analyze_run(args.run_dir)
             print(f"analysis written to {args.run_dir}/analysis.csv")
         elif args.command == "sweep-kappa":
             from .runner import run_sweep_kappa
@@ -109,7 +119,7 @@ def main(argv=None) -> int:
             except ValueError:
                 raise InvalidParameter(
                     f"cannot parse --pitches {args.pitches!r}") from None
-            run_sweep_kappa(cfg, pitches, echo=print)
+            run_sweep_kappa(cfg, pitches)
             print(f"sweep complete: {cfg.out_dir}/gamma.csv")
         elif args.command == "selfcheck":
             from .selfcheck import run_selfcheck
@@ -122,6 +132,9 @@ def main(argv=None) -> int:
     except (SpintexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

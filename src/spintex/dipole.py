@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erfcx, exp1
 
+from . import constants as cn
 from .errors import InvalidParameter
 from .grid import Grid2D
 
@@ -123,7 +124,6 @@ def helix_column_energy(kappa: float, sigma_um: float, n0_um3: float) -> float:
     transverse spins) and eps -> -2 E_d/3 for tight winding, so the
     full winding-out releases exactly E_d per atom.
     """
-    from . import constants as cn
     if sigma_um <= 0 or n0_um3 <= 0:
         raise InvalidParameter("sigma_um and n0_um3 must be positive")
     if kappa < 0:

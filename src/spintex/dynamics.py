@@ -21,7 +21,8 @@ import numpy as np
 from . import constants as cn
 from .dipole import DipolarCoupling, normalize_mode
 from .errors import InvalidParameter, NumericalFailure
-from .field import number_density, spin_density, zeeman_like_apply
+from .field import (number_density, rotate_spinor, spin_density,
+                    zeeman_like_apply)
 from .grid import Grid2D
 
 
@@ -209,7 +210,6 @@ def evolve(psi: np.ndarray, evolver: Evolver, n_steps: int,
     every observe_every steps (0: none in between), and n = n_steps.
     Returns the final field.
     """
-    from .field import rotate_spinor
     if n_steps < 0 or observe_every < 0:
         raise InvalidParameter(
             f"step counts must be >= 0, got n_steps = {n_steps!r}, "

@@ -245,12 +245,6 @@ def thomas_fermi_density(grid: Grid2D, vx: float, vz: float, c0_2d: float,
     return np.maximum(dens, 0.0)
 
 
-def uniform_atom_number(grid: Grid2D, fill: float, peak_density: float) -> float:
-    """Atom number that a flat-top envelope at `peak_density` integrates to."""
-    env = _box_envelope(grid, fill)
-    return float(peak_density * env.sum() * grid.cell_area)
-
-
 def prepare_initial(grid: Grid2D, profile: str, atom_number: float,
                     c0_2d: float, vx: float = 0.0, vz: float = 0.0,
                     box_fill: float = 0.9) -> InitialState:

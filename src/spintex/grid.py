@@ -91,9 +91,3 @@ class Grid2D:
     @property
     def k_nyquist_z(self) -> float:
         return math.pi / self.dz
-
-    def index_of(self, x: float, z: float) -> tuple:
-        """Nearest cell indices for a physical point (periodic wrap)."""
-        ix = int(round(x / self.dx)) + self.nx // 2
-        iz = int(round(z / self.dz)) + self.nz // 2
-        return ix % self.nx, iz % self.nz

@@ -19,6 +19,7 @@ from . import __version__
 from .analysis import SERIES_COLUMNS, OrderParamSeries, RegionSpec
 from .dipole import normalize_mode
 from .errors import InvalidParameter
+from .field import number_density, spin_density
 from .grid import Grid2D
 
 POTENTIALS = ("none", "harmonic")
@@ -102,10 +103,13 @@ class RunConfig:
         self.kernel_mode = normalize_mode(self.kernel_mode)
         for name, kind in _FIELD_TYPES.items():
             value = getattr(self, name)
-            if kind is float and not (isinstance(value, (int, float))
-                                      and math.isfinite(value)):
+            if kind is not float:
+                continue
+            if not (isinstance(value, (int, float)) and math.isfinite(value)):
                 raise InvalidParameter(
                     f"{name} must be a finite number, got {value!r}")
+            # as parse_config reads it back from meta, so the hash matches
+            setattr(self, name, float(value))
         for name in _POSITIVE:
             if getattr(self, name) <= 0:
                 raise InvalidParameter(
@@ -258,7 +262,6 @@ SNAPSHOT_COLUMNS = ("x_um", "z_um", "n", "Mx", "My", "Mz",
 
 def write_snapshot(path: str, psi: np.ndarray, grid: Grid2D,
                    time_ms: float, cfg_hash: str) -> None:
-    from .field import number_density, spin_density
     n = number_density(psi)
     m = spin_density(psi)
     x = np.broadcast_to(grid.x[:, None], grid.shape)
@@ -296,9 +299,13 @@ def read_snapshot(path: str) -> tuple:
     for key in ("time_ms", "nx", "nz", "lx_um", "lz_um"):
         if key not in header:
             raise InvalidParameter(f"snapshot {path}: missing header {key}")
-    grid = Grid2D(nx=int(header["nx"]), nz=int(header["nz"]),
-                  lx=float(header["lx_um"]), lz=float(header["lz_um"]))
-    table = np.loadtxt(path, skiprows=n_header)
+    try:
+        grid = Grid2D(nx=int(header["nx"]), nz=int(header["nz"]),
+                      lx=float(header["lx_um"]), lz=float(header["lz_um"]))
+        header["time_ms"] = float(header["time_ms"])
+        table = np.loadtxt(path, skiprows=n_header)
+    except ValueError as exc:
+        raise InvalidParameter(f"snapshot {path}: {exc}") from None
     if table.shape != (grid.nx * grid.nz, len(SNAPSHOT_COLUMNS)):
         raise InvalidParameter(
             f"snapshot {path}: table shape {table.shape} does not match "
@@ -307,7 +314,6 @@ def read_snapshot(path: str) -> tuple:
     psi = np.empty((3,) + shape, dtype=complex)
     for comp, (re_col, im_col) in enumerate(((6, 7), (8, 9), (10, 11))):
         psi[comp] = (table[:, re_col] + 1j * table[:, im_col]).reshape(shape)
-    header["time_ms"] = float(header["time_ms"])
     return psi, grid, header
 
 

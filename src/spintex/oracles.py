@@ -11,9 +11,9 @@ import math
 
 import numpy as np
 from scipy import integrate
-from scipy.special import erfcx
 
 from . import constants as cn
+from .dipole import DipolarCoupling
 from .errors import InvalidParameter
 from .field import spin_density
 from .grid import Grid2D
@@ -274,7 +274,6 @@ def pair_interaction_energy(axis_spin: str, grid: Grid2D, sigma_y: float,
     (must attract, negative).  flip_sign applies the opposite kernel
     sign for negative-control checks.
     """
-    from .dipole import DipolarCoupling
     if axis_spin not in ("x", "z"):
         raise InvalidParameter(f"axis_spin must be 'x' or 'z', "
                                f"got {axis_spin!r}")

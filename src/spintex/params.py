@@ -76,32 +76,11 @@ def quadratic_zeeman(b0_mg: float, q_coeff_hz_g2: float) -> float:
     return q_coeff_hz_g2 * (b0_mg * 1e-3) ** 2
 
 
-def helix_wavevector(gradient_mg_cm: float, tau_p_ms: float) -> float:
-    """Wavevector kappa = (gF muB / hbar) (dBz/dz) tau_p in rad/um.
-
-    A transversely magnetized cloud exposed to the gradient for tau_p
-    winds into a helix of pitch 2 pi / kappa.
-    """
-    if tau_p_ms <= 0:
-        raise InvalidParameter(f"tau_p_ms must be positive, got {tau_p_ms!r}")
-    return cn.GRAD_COEF * gradient_mg_cm * tau_p_ms
-
-
-def helix_pitch(kappa: float) -> float:
-    """Pitch 2 pi / kappa in um (inf for kappa = 0)."""
-    return TWO_PI / kappa if kappa != 0.0 else math.inf
-
-
 def helix_kinetic_energy(kappa: float) -> float:
     """Kinetic energy per atom of a transverse helix: hbar^2 kappa^2 / 4m, h*Hz."""
     if kappa < 0:
         raise InvalidParameter(f"kappa must be >= 0, got {kappa!r}")
     return cn.EKIN_HHZ_PER_K2 * kappa**2 / 2.0
-
-
-def gradient_winding_rate(gradient_mg_cm: float) -> float:
-    """Linear Zeeman phase rate slope in rad/(ms um) for B' in mG/cm."""
-    return cn.GRAD_COEF * gradient_mg_cm
 
 
 def trap_curvatures_hhz_um2(cfg) -> tuple:

@@ -5,24 +5,31 @@ polarized cloud, tip it into the transverse plane with a pi/2 pulse,
 wind the helix, add seed noise, then evolve while an observer records
 order parameters, vortex counts, and per-atom energies.  analyze_run
 recomputes the same quantities from stored snapshots.
+
+Progress lines (one per observation, one per sweep pitch) go to the
+"spintex" logger at INFO level; nothing is printed unless a handler is
+attached, as the command-line interface does.
 """
 
+import logging
 import math
 import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import (OrderParamSeries, detect_vortices, order_parameters,
-                       power_spectrum)
+from .analysis import (OrderParamSeries, detect_vortices, growth_rate,
+                       order_parameters, power_spectrum)
 from .dynamics import Evolver, EvolutionSpec, evolve, make_cancellation_schedule
 from .errors import InvalidParameter
 from .field import (add_noise, imprint_helix, magnetization, prepare_initial,
                     rotate_spinor)
-from .io_text import (RunConfig, config_hash, mark_done, read_snapshot,
-                      snapshot_name, write_meta, write_snapshot,
-                      write_timeseries)
+from .io_text import (RunConfig, config_hash, load_config, mark_done,
+                      read_snapshot, snapshot_name, write_meta,
+                      write_snapshot, write_timeseries)
 from .params import derive_params, trap_curvatures_hhz_um2
+
+log = logging.getLogger("spintex")
 
 
 @dataclass
@@ -85,7 +92,7 @@ def _series(rows: list) -> OrderParamSeries:
         columns={key: np.array([r[key] for r in rows]) for key in rows[0]})
 
 
-def run_simulate(cfg: RunConfig, echo=None) -> RunResult:
+def run_simulate(cfg: RunConfig) -> RunResult:
     """Execute one run and write its output directory.
 
     The directory receives `meta`, snapshot files, `timeseries.csv`,
@@ -118,14 +125,14 @@ def run_simulate(cfg: RunConfig, echo=None) -> RunResult:
 
     def observer(n, field):
         t_ms = n * cfg.dt_ms
-        rows.append(_measure_row(t_ms, field, evolver, regions, background))
+        row = _measure_row(t_ms, field, evolver, regions, background)
+        rows.append(row)
         if n in (0, n_steps) or (write_every and n % write_every == 0):
             write_snapshot(os.path.join(run_dir, snapshot_name(t_ms)),
                            field, evolver.spec.grid, t_ms, digest)
-        if echo is not None:
-            echo(f"t = {t_ms:8.2f} ms   short/total = "
-                 f"{rows[-1]['short_order'] / max(rows[-1]['total_power'], 1e-30):.4f}   "
-                 f"vortices = {int(rows[-1]['n_vortices'])}")
+        log.info("t = %8.2f ms   short/total = %.4f   vortices = %d", t_ms,
+                 row["short_order"] / max(row["total_power"], 1e-30),
+                 row["n_vortices"])
 
     psi = evolve(psi, evolver, n_steps, schedule=schedule, observer=observer,
                  observe_every=cfg.steps(cfg.snapshot_every_ms))
@@ -141,18 +148,20 @@ def run_simulate(cfg: RunConfig, echo=None) -> RunResult:
 # Re-analysis of stored runs
 # ---------------------------------------------------------------------------
 
-def analyze_run(run_dir: str, echo=None) -> OrderParamSeries:
+def analyze_run(run_dir: str) -> OrderParamSeries:
     """Recompute order parameters and energies from stored snapshots.
 
     Reads the run's own `meta` for the configuration, analyzes every
     snapshot file, writes `analysis.csv` beside them, and returns the
-    series.  Works on partial (no DONE) directories too.
+    series.  Works on partial (no DONE) directories too.  A snapshot
+    whose config hash differs from `meta`'s (left by an earlier run
+    into the same directory) raises InvalidParameter.
     """
-    from .io_text import load_config
     meta_path = os.path.join(run_dir, "meta")
     if not os.path.exists(meta_path):
         raise InvalidParameter(f"{run_dir}: no meta file; not a run directory")
     cfg = load_config(meta_path)
+    digest = config_hash(cfg)
     evolver, _ = build_evolver(cfg)
     regions = cfg.regions()
     background = cfg.resolved_background()
@@ -161,6 +170,10 @@ def analyze_run(run_dir: str, echo=None) -> OrderParamSeries:
     for name in os.listdir(run_dir):
         if name.startswith("snap_t") and name.endswith(".txt"):
             psi, grid, header = read_snapshot(os.path.join(run_dir, name))
+            if header.get("config") != digest:
+                raise InvalidParameter(
+                    f"{name}: written under config {header.get('config')}, "
+                    f"but meta is config {digest}")
             if grid.shape != evolver.spec.grid.shape:
                 raise InvalidParameter(
                     f"{name}: grid {grid.shape} does not match config")
@@ -172,13 +185,11 @@ def analyze_run(run_dir: str, echo=None) -> OrderParamSeries:
     rows = [_measure_row(t, psi, evolver, regions, background)
             for t, psi in snaps]
     series = _series(rows)
-    write_timeseries(os.path.join(run_dir, "analysis.csv"), series,
-                     config_hash(cfg))
-    if echo is not None:
-        for r in rows:
-            echo(f"t = {r['t_ms']:8.2f} ms   long = {r['long_order']:.4e}   "
-                 f"short = {r['short_order']:.4e}   "
-                 f"vortices = {int(r['n_vortices'])}")
+    write_timeseries(os.path.join(run_dir, "analysis.csv"), series, digest)
+    for r in rows:
+        log.info("t = %8.2f ms   long = %.4e   short = %.4e   vortices = %d",
+                 r["t_ms"], r["long_order"], r["short_order"],
+                 r["n_vortices"])
     return series
 
 
@@ -186,31 +197,34 @@ def analyze_run(run_dir: str, echo=None) -> OrderParamSeries:
 # Pitch sweep
 # ---------------------------------------------------------------------------
 
-def run_sweep_kappa(cfg: RunConfig, pitches, echo=None) -> list:
+def run_sweep_kappa(cfg: RunConfig, pitches) -> list:
     """One seeded run per helix pitch; returns [(kappa, gamma_per_s)].
 
     Writes gamma.csv under the config's out_dir with each run in a
-    pitch_<um> subdirectory.  All runs share the config's seed.
+    pitch_<um> subdirectory (named with %g, so pitches that print alike
+    are rejected).  All runs share the config's seed.
     """
-    from .analysis import growth_rate
     pitches = list(pitches)
     if len(pitches) < 2:
         raise InvalidParameter("need at least 2 pitches to sweep")
     if any(p <= 0 for p in pitches):
         raise InvalidParameter(f"pitches must be positive, got {pitches!r}")
+    names = [f"pitch_{pitch:g}" for pitch in pitches]
+    if len(set(names)) < len(names):
+        raise InvalidParameter(
+            f"pitches {pitches!r} share run directory names {names!r}")
     base = cfg.out_dir
     os.makedirs(base, exist_ok=True)
     out_rows = []
-    for pitch in pitches:
+    for pitch, name in zip(pitches, names):
         sub = replace(cfg, helix_pitch_um=float(pitch),
-                      out_dir=os.path.join(base, f"pitch_{pitch:g}"))
+                      out_dir=os.path.join(base, name))
         result = run_simulate(sub)
         gamma = growth_rate(result.series)
         kappa = 2.0 * math.pi / pitch
         out_rows.append((kappa, gamma))
-        if echo is not None:
-            echo(f"pitch {pitch:6.1f} um   kappa {kappa:.4f} rad/um   "
-                 f"gamma {gamma:.4f} /s")
+        log.info("pitch %6.1f um   kappa %.4f rad/um   gamma %.4f /s",
+                 pitch, kappa, gamma)
     path = os.path.join(base, "gamma.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# config = {config_hash(cfg)}\n")

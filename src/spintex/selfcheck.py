@@ -16,10 +16,9 @@ from scipy import linalg
 
 from . import constants as cn
 from . import oracles
-from .dipole import (DipolarCoupling, helix_column_energy, interaction_kernel,
-                     planar_tensor)
+from .dipole import helix_column_energy, interaction_kernel, planar_tensor
 from .dynamics import Evolver, EvolutionSpec, evolve
-from .field import rotate_spinor, spin_matrices
+from .field import expmi_tridiag, rotate_spinor, spin_matrices
 from .grid import Grid2D
 from .io_text import RunConfig
 from .params import derive_params
@@ -154,7 +153,6 @@ def check_sign_audit(flip_sign: bool = False) -> CheckResult:
 
 def check_expm() -> CheckResult:
     """Per-site matrix exponential vs the dense reference."""
-    from .field import expmi_tridiag
     rng = np.random.default_rng(11)
     fx, fy, fz = spin_matrices()
     err = 0.0

@@ -17,7 +17,6 @@ from spintex.analysis import (
     growth_rate,
     order_parameters,
     power_spectrum,
-    sixfold_anisotropy,
 )
 from spintex.errors import InvalidParameter
 from spintex.field import (
@@ -167,37 +166,6 @@ def test_dominant_wavevector_ignores_central_disc():
     ps = PowerSpectrum(kx=g.kx.copy(), kz=g.kz.copy(), p=p)
     got = dominant_wavevector(ps, k_min=0.25)
     assert abs(got - 5.0 * dk) < 1e-12
-
-
-def test_sixfold_anisotropy_cases():
-    g = Grid2D(nx=64, nz=64, lx=32.0, lz=32.0)
-    regions = RegionSpec()
-    dk = TWO_PI / 32.0
-    j = 4                                 # |k| = 0.785 in the annulus
-
-    # single mode: pure harmonic, ratio 1
-    p = np.zeros(g.shape)
-    p[j, 0] = 3.0
-    ps = PowerSpectrum(kx=g.kx.copy(), kz=g.kz.copy(), p=p)
-    assert abs(sixfold_anisotropy(ps, regions) - 1.0) < 1e-12
-
-    # equal modes at phi = 0 and phi = pi/2: e^{-6 i phi} differ by -1
-    p = np.zeros(g.shape)
-    p[j, 0] = 3.0
-    p[0, j] = 3.0
-    ps = PowerSpectrum(kx=g.kx.copy(), kz=g.kz.copy(), p=p)
-    assert abs(sixfold_anisotropy(ps, regions)) < 1e-12
-
-    # equal modes at phi = 0 and phi = pi/4: |1 + i| / 2
-    p = np.zeros(g.shape)
-    p[j, 0] = 3.0
-    p[3, 3] = 3.0                         # |k| = 3 sqrt2 dk = 0.833 in annulus
-    ps = PowerSpectrum(kx=g.kx.copy(), kz=g.kz.copy(), p=p)
-    assert abs(sixfold_anisotropy(ps, regions) - math.sqrt(2.0) / 2.0) < 1e-12
-
-    # empty annulus
-    ps = PowerSpectrum(kx=g.kx.copy(), kz=g.kz.copy(), p=np.zeros(g.shape))
-    assert sixfold_anisotropy(ps, regions) == 0.0
 
 
 # ---------------------------------------------------------------------------

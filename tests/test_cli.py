@@ -1,9 +1,13 @@
 """Tests for the command-line interface: exit codes, overrides, wiring."""
 
 import os
+import re
+import subprocess
+import sys
 
 import pytest
 
+import spintex
 from spintex.cli import main
 from spintex.errors import NumericalFailure
 from spintex.io_text import RunConfig, is_complete
@@ -34,6 +38,15 @@ def write_small(tmp_path):
     return str(path)
 
 
+def run_cli(*args):
+    """`python -m spintex.cli args` in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spintex.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "spintex.cli", *args],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
 def test_constants_prints_table(capsys):
     assert main(["constants"]) == 0
     out = capsys.readouterr().out
@@ -53,6 +66,35 @@ def test_simulate_with_overrides(tmp_path, capsys):
     assert "rng_seed = 7" in meta
     assert "kernel_mode = off" in meta
     assert "run complete" in capsys.readouterr().out
+
+
+def test_simulate_prints_progress_to_stdout(tmp_path):
+    proc = run_cli("simulate", "--config", write_small(tmp_path),
+                   "--out", str(tmp_path / "run"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    progress = re.compile(r"t = +\d+\.\d\d ms   short/total = \d\.\d{4}   "
+                          r"vortices = \d+$")
+    assert len(lines) == 6
+    assert all(progress.match(ln) for ln in lines[:5])
+    assert lines[0].startswith("t =     0.00 ms")
+    assert lines[4].startswith("t =     1.00 ms")
+    assert lines[5].startswith("run complete: ")
+
+
+def test_analyze_truncated_snapshot_is_an_error(tmp_path):
+    out_dir = tmp_path / "run"
+    assert main(["simulate", "--config", write_small(tmp_path),
+                 "--out", str(out_dir)]) == 0
+    snap = out_dir / "snap_t1.txt"
+    text = snap.read_text()
+    snap.write_text(text[:len(text) // 2])
+    proc = run_cli("analyze", str(out_dir))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "snap_t1.txt" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_analyze_command(tmp_path, capsys):
@@ -108,7 +150,7 @@ def test_usage_errors_exit_one(capsys):
 def test_numerical_failure_exits_two(tmp_path, capsys, monkeypatch):
     import spintex.runner
 
-    def boom(cfg, echo=None):
+    def boom(cfg):
         raise NumericalFailure("field went non-finite at step 3")
 
     monkeypatch.setattr(spintex.runner, "run_simulate", boom)

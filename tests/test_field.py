@@ -9,8 +9,7 @@ from spintex.field import (InitialState, MagnetizationField, add_noise,
                            expmi_tridiag, imprint_helix, magnetization,
                            number_density, prepare_initial, rotate_spinor,
                            spin_density, spin_matrices, thomas_fermi_density,
-                           transverse_state, uniform_atom_number,
-                           zeeman_like_apply)
+                           transverse_state, zeeman_like_apply)
 from spintex.grid import Grid2D
 
 SQRT2 = math.sqrt(2.0)
@@ -186,7 +185,6 @@ def test_prepare_initial_uniform():
     assert np.abs(state.psi[0]).max() == 0.0
     assert np.abs(state.psi[1]).max() == 0.0
     assert np.all(state.potential == 0.0)
-    assert uniform_atom_number(g, 1.0, 5.0) == pytest.approx(640.0)
 
 
 def test_prepare_initial_trap():

@@ -38,15 +38,6 @@ def test_wavenumbers():
     assert g.k2[1, 2] == pytest.approx(g.kx[1] ** 2 + g.kz[2] ** 2)
 
 
-def test_index_of_periodic():
-    g = Grid2D(nx=16, nz=16, lx=8.0, lz=8.0)
-    i, j = g.index_of(0.0, 0.0)
-    assert (g.x[i], g.z[j]) == (0.0, 0.0)
-    # wraps around the boundary
-    i, j = g.index_of(4.25, -4.25)
-    assert 0 <= i < 16 and 0 <= j < 16
-
-
 def test_validation():
     with pytest.raises(InvalidParameter):
         Grid2D(nx=24, nz=16, lx=8.0, lz=8.0)   # not a power of two

@@ -221,6 +221,23 @@ def test_snapshot_truncated_table(tmp_path):
         read_snapshot(path)
 
 
+@pytest.mark.parametrize("spoil", [
+    lambda text: text[:len(text) // 2 + 7],
+    lambda text: text.replace("# nx = 8", "# nx = eight"),
+    lambda text: text.replace("# time_ms = 0.0", "# time_ms = soon"),
+], ids=["cut-mid-line", "bad-nx", "bad-time"])
+def test_snapshot_parse_failure_names_the_file(tmp_path, spoil):
+    g = Grid2D(nx=8, nz=8, lx=4.0, lz=4.0)
+    psi = np.ones((3,) + g.shape, dtype=complex)
+    path = str(tmp_path / "snap.txt")
+    write_snapshot(path, psi, g, time_ms=0.0, cfg_hash="x")
+    text = open(path, encoding="utf-8").read()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(spoil(text))
+    with pytest.raises(InvalidParameter, match="snap.txt"):
+        read_snapshot(path)
+
+
 def test_snapshot_name():
     assert snapshot_name(5.0) == "snap_t5.txt"
     assert snapshot_name(12.5) == "snap_t12.5.txt"

@@ -5,8 +5,7 @@ import pytest
 from spintex.errors import InvalidParameter
 from spintex.io_text import RunConfig
 from spintex.params import (derive_params, derived_table,
-                            gradient_winding_rate, helix_kinetic_energy,
-                            helix_pitch, helix_wavevector, quadratic_zeeman,
+                            helix_kinetic_energy, quadratic_zeeman,
                             trap_curvatures_hhz_um2)
 
 
@@ -77,9 +76,6 @@ def test_larmor_frequency(derived):
 
 
 def test_helix_relations():
-    kappa = helix_wavevector(47.63182334284381, 5.0)
-    assert abs(kappa - 2 * math.pi / 60.0) < 1e-12
-    assert abs(helix_pitch(kappa) - 60.0) < 1e-9
     # winding energy per atom at 50 um pitch stays below h x 1 Hz
     e50 = helix_kinetic_energy(2 * math.pi / 50.0)
     assert abs(e50 - 0.4591359246) < 1e-9
@@ -87,13 +83,6 @@ def test_helix_relations():
     # characteristic modulation scale hbar^2 k^2 / 8m
     e_mod = helix_kinetic_energy(2 * math.pi / 10.0) / 2.0
     assert abs(e_mod - 5.739199) < 1e-5
-
-
-def test_gradient_winding_rate():
-    rate = gradient_winding_rate(1.0)
-    assert abs(rate - 4.3970500295950914e-4) < 1e-18
-    assert abs(gradient_winding_rate(47.63182334284381) * 5.0
-               - 2 * math.pi / 60.0) < 1e-12
 
 
 def test_trap_curvatures():

@@ -1,5 +1,6 @@
 """Tests for run orchestration: directories, determinism, re-analysis."""
 
+import logging
 import os
 from dataclasses import replace
 
@@ -131,6 +132,56 @@ def test_analyze_run_error_cases(tmp_path):
         analyze_run(result.run_dir)
 
 
+def test_analyze_run_rejects_snapshots_of_another_run(tmp_path):
+    run_simulate(small_cfg(tmp_path, nx=16, lx_um=8.0,
+                           atom_number=D.n2d_peak * 8.0 * 60.0))
+    cfg = small_cfg(tmp_path, nx=16, lx_um=8.0,
+                    atom_number=D.n2d_peak * 8.0 * 60.0,
+                    t_final_ms=0.5, rng_seed=9)
+    result = run_simulate(cfg)
+    assert len(result.series) == 3
+    # snap_t0.75 and snap_t1 are left over from the first run
+    with pytest.raises(InvalidParameter, match=r"snap_t(0\.75|1)\.txt"):
+        analyze_run(result.run_dir)
+
+
+def test_integer_valued_inputs_keep_one_config_hash(tmp_path):
+    # lx_um = 16 (an int) is read back from meta as 16.0
+    cfg = small_cfg(tmp_path, lx_um=16, t_final_ms=0.25)
+    result = run_simulate(cfg)
+    assert len(analyze_run(result.run_dir)) == 2
+    heads = {}
+    for name in ("meta", "timeseries.csv", "analysis.csv"):
+        with open(os.path.join(result.run_dir, name), encoding="utf-8") as fh:
+            heads[name] = [ln for ln in fh if ln.startswith("# config")][0]
+    assert set(heads.values()) == {f"# config = {result.cfg_hash}\n"}
+
+
+def test_progress_goes_to_the_spintex_logger(tmp_path, caplog, capsys):
+    cfg = small_cfg(tmp_path)
+    run_simulate(cfg)
+    assert capsys.readouterr() == ("", "")      # no handler: nothing shown
+    with caplog.at_level(logging.INFO, logger="spintex"):
+        result = run_simulate(cfg)
+    records = [r for r in caplog.records if r.name == "spintex"]
+    assert len(records) == len(result.series) == 5
+    assert all(r.levelno == logging.INFO and r.args for r in records)
+    assert records[0].getMessage().startswith(
+        "t =     0.00 ms   short/total = ")
+
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="spintex"):
+        run_sweep_kappa(replace(cfg, out_dir=str(tmp_path / "sweep")),
+                        [60.0, 30.0])
+        analyze_run(str(tmp_path / "sweep" / "pitch_30"))
+    lines = [r.getMessage() for r in caplog.records if r.name == "spintex"]
+    # per pitch its run's 5 observations, then its own line; then one
+    # line per stored snapshot of pitch_30 (t = 0 and 1 ms)
+    assert len(lines) == 2 * (5 + 1) + 2
+    assert lines[5].startswith("pitch   60.0 um   kappa 0.1047 rad/um")
+    assert lines[-1].startswith("t =     1.00 ms   long = ")
+
+
 def test_rerun_clears_stale_done_marker(tmp_path):
     cfg = small_cfg(tmp_path, t_final_ms=0.0)
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -168,6 +219,12 @@ def test_sweep_validation_and_output(tmp_path):
         run_sweep_kappa(cfg, [60.0])
     with pytest.raises(InvalidParameter, match="positive"):
         run_sweep_kappa(cfg, [60.0, -50.0])
+
+    # %g directory names: pitches that print alike would share pitch_60
+    for same in ([60.0000001, 60.0000002], [60, 60.0]):
+        with pytest.raises(InvalidParameter, match="pitch_60"):
+            run_sweep_kappa(cfg, same)
+    assert not os.path.exists(cfg.out_dir)
 
     rows = run_sweep_kappa(cfg, [60.0, 30.0])
     assert len(rows) == 2
