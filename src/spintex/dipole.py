@@ -99,8 +99,11 @@ class DipolarCoupling:
         """b[3, nx, nz] in h*Hz for planar spin density s in um^-2."""
         if self.kernel is None:
             return np.zeros_like(s)
+        q = self.kernel
         sk = np.fft.rfft2(s, axes=(-2, -1))
-        bk = np.einsum("ij...,j...->i...", self.kernel, sk)
+        # Q01, Q10, Q12 and Q21 vanish in both the bare and larmor modes
+        bk = np.stack([q[0, 0] * sk[0] + q[0, 2] * sk[2], q[1, 1] * sk[1],
+                       q[2, 0] * sk[0] + q[2, 2] * sk[2]])
         return self.c_dd * np.fft.irfft2(bk, s=self.grid.shape, axes=(-2, -1))
 
     def energy(self, s: np.ndarray, b: np.ndarray = None) -> float:

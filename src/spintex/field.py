@@ -1,10 +1,11 @@
 """Spin-1 field representation and per-site matrix algebra.
 
 A spinor field is a complex array psi[3, nx, nz] in the (m = +1, 0, -1)
-basis.  ``expmi_tridiag`` applies exp(-i H dt) for the per-site
-Hamiltonian, which for spin-1 with a linear-plus-quadratic Zeeman term
-and a Zeeman-like coupling v.F is Hermitian tridiagonal with a real
-diagonal and equal corner structure H[0,2] = 0.
+basis.  Spin rotations exp(-i theta v.F) have a closed form for spin-1.
+``zeeman_like_apply``, the local step of the stepper, applies it site
+by site as two tridiagonal products, between a scalar phase and two
+quadratic-Zeeman half phases; ``rotate_spinor`` (rf pulses) builds the
+3x3 matrix of one global rotation from the same closed form.
 """
 
 import math
@@ -70,11 +71,8 @@ def rotate_spinor(psi: np.ndarray, axis: tuple, angle: float) -> np.ndarray:
     norm = np.linalg.norm(n)
     if norm == 0:
         raise InvalidParameter("rotation axis must be nonzero")
-    n = n / norm
-    fx, fy, fz = spin_matrices()
-    gen = angle * (n[0] * fx + n[1] * fy + n[2] * fz)
-    evals, evecs = np.linalg.eigh(gen)
-    u = (evecs * np.exp(-1j * evals)) @ evecs.conj().T
+    # one axis for all sites: the closed form's 3x3 matrix, then a product
+    u = np.stack(_spin_rotation(np.eye(3, dtype=complex), angle, *(n / norm)))
     return np.einsum("ab,b...->a...", u, psi)
 
 
@@ -101,94 +99,56 @@ def transverse_state() -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# exp(-i H dt) for per-site tridiagonal Hermitian H
+# Per-site local step in closed form
 # ---------------------------------------------------------------------------
 
-def _hmul(dp, d0, dm, up0, u0m, a, b, c):
-    """H @ (a, b, c) for the tridiagonal structure."""
-    ra = dp * a + up0 * b
-    rb = np.conj(up0) * a + d0 * b + u0m * c
-    rc = np.conj(u0m) * b + dm * c
-    return ra, rb, rc
+def _spin_rotation(psi, theta, vx, vy, vz) -> tuple:
+    """Components of exp(-i theta v.F) psi, site-wise.
 
-
-def expmi_tridiag(psi: np.ndarray, dt: float, dp, d0, dm, up0, u0m) -> np.ndarray:
-    """Apply exp(-i H dt) where, per site,
-
-        H = [[dp,        up0,  0  ],
-             [conj(up0), d0,   u0m],
-             [0,         conj(u0m), dm]]
-
-    with real diagonals.  Eigenvalues come from the depressed-cubic
-    trigonometric formula; the exponential is assembled from Newton
-    divided differences of exp(-i lambda dt), which stays accurate
-    through degenerate spectra.
+    For spin-1 (v.F)^3 = |v|^2 v.F, so the exponential is
+    1 - i sin(theta|v|)/|v| v.F + (cos(theta|v|) - 1)/|v|^2 (v.F)^2,
+    with the limits theta and -theta^2/2 of the two coefficients at
+    v = 0.  It is applied as psi + (v.F) y, y = -i c1 psi + c2 (v.F) psi,
+    two tridiagonal products.
     """
-    dp = np.asarray(dp, dtype=float)
-    d0 = np.asarray(d0, dtype=float)
-    dm = np.asarray(dm, dtype=float)
-    up0 = np.asarray(up0, dtype=complex)
-    u0m = np.asarray(u0m, dtype=complex)
+    v2 = vx * vx + vy * vy + vz * vz
+    zero = v2 == 0
+    vabs = np.sqrt(np.where(zero, 1.0, v2))
+    sin_h = np.sin(0.5 * theta * vabs)
+    cos_h = np.cos(0.5 * theta * vabs)
+    c1 = np.where(zero, theta, 2.0 * sin_h * cos_h / vabs)
+    c2 = np.where(zero, -0.5 * theta * theta,
+                  -2.0 * sin_h * sin_h / (vabs * vabs))
+    vm = (vx - 1j * vy) / SQRT2
+    vp = np.conj(vm)
 
-    m = (dp + d0 + dm) / 3.0
-    a0 = dp - m
-    b0 = d0 - m
-    c0 = dm - m
-    o1 = (up0.real**2 + up0.imag**2)
-    o2 = (u0m.real**2 + u0m.imag**2)
-    p2 = (a0 * a0 + b0 * b0 + c0 * c0 + 2.0 * (o1 + o2)) / 6.0
-    p = np.sqrt(p2)
-    det = a0 * b0 * c0 - a0 * o2 - c0 * o1
-    safe_p = np.where(p > 0, p, 1.0)
-    r = np.clip(det / (2.0 * safe_p**3), -1.0, 1.0)
-    phi = np.arccos(r) / 3.0
-    e1 = m + 2.0 * p * np.cos(phi)
-    e3 = m + 2.0 * p * np.cos(phi + 2.0 * math.pi / 3.0)
-    e2 = 3.0 * m - e1 - e3
+    def vdotf(a, b, c):
+        return vz * a + vm * b, vp * a + vm * c, vp * b - vz * c
 
-    f1 = np.exp(-1j * dt * e1)
-    # f[e_i, e_j] = (f_i - f_j)/(e_i - e_j), numerically stable form
-    f12 = -1j * dt * np.exp(-0.5j * dt * (e1 + e2)) \
-        * np.sinc(dt * (e1 - e2) / (2.0 * math.pi))
-    f23 = -1j * dt * np.exp(-0.5j * dt * (e2 + e3)) \
-        * np.sinc(dt * (e2 - e3) / (2.0 * math.pi))
-    span = e1 - e3
-    tiny = np.abs(dt) * span < 1e-6
-    safe_span = np.where(tiny, 1.0, span)
-    f123 = np.where(
-        tiny,
-        0.5 * (-1j * dt) ** 2 * np.exp(-1j * dt * m),
-        (f12 - f23) / safe_span,
-    )
-
-    a, b, c = psi[0], psi[1], psi[2]
-    wa, wb, wc = _hmul(dp, d0, dm, up0, u0m, a, b, c)
-    wa = wa - e1 * a
-    wb = wb - e1 * b
-    wc = wc - e1 * c
-    va, vb, vc = _hmul(dp, d0, dm, up0, u0m, wa, wb, wc)
-    va = va - e2 * wa
-    vb = vb - e2 * wb
-    vc = vc - e2 * wc
-    out = np.empty(psi.shape, dtype=complex)
-    out[0] = f1 * a + f12 * wa + f123 * va
-    out[1] = f1 * b + f12 * wb + f123 * vb
-    out[2] = f1 * c + f12 * wc + f123 * vc
-    return out
+    a, b, c = psi
+    wa, wb, wc = vdotf(a, b, c)
+    ya, yb, yc = vdotf(c2 * wa - 1j * (c1 * a), c2 * wb - 1j * (c1 * b),
+                       c2 * wc - 1j * (c1 * c))
+    return a + ya, b + yb, c + yc
 
 
 def zeeman_like_apply(psi, dt, u, q, vx, vy, vz):
-    """exp(-i dt (u + q Fz^2 + v.F)) with coefficients in rad/ms.
+    """Local step exp(-i dt (u + q Fz^2 + v.F)) with coefficients in rad/ms,
+    as the symmetric split
 
-    u is the spin-independent part, q multiplies Fz^2, and v couples to
-    the spin like a magnetic field (v.F).  All arguments broadcast over
-    the site axes.
+        exp(-i dt u) exp(-i dt/2 q Fz^2) exp(-i dt v.F) exp(-i dt/2 q Fz^2),
+
+    which differs from the exact exponential by O(dt^3) commutators of
+    q Fz^2 with v.F.  u is the spin-independent part, q (a scalar)
+    multiplies Fz^2, and v couples to the spin like a magnetic field;
+    u and v broadcast over the site axes.
     """
-    vminus = (vx - 1j * vy) / SQRT2
-    dp = u + q + vz
-    d0 = u + np.zeros_like(dp)
-    dm = u + q - vz
-    return expmi_tridiag(psi, dt, dp, d0, dm, vminus, vminus)
+    half_q = np.exp(-0.5j * dt * q)
+    a, b, c = _spin_rotation((half_q * psi[0], psi[1], half_q * psi[2]),
+                             dt, vx, vy, vz)
+    phase = np.exp(-1j * dt * u)
+    phase_q = half_q * phase
+    return np.stack([phase_q * a, phase * b, phase_q * c])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ order-parameter time series.  A run directory holds `meta`,
 a directory without `DONE` is a detectably partial run.
 """
 
+import contextlib
 import dataclasses
 import hashlib
 import math
@@ -252,6 +253,20 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
+@contextlib.contextmanager
+def atomic_text(path: str):
+    """Text file handle whose contents replace `path` only when the block
+    ends without error, so no reader sees a partly written file."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 # ---------------------------------------------------------------------------
 # Snapshot files
 # ---------------------------------------------------------------------------
@@ -278,7 +293,7 @@ def write_snapshot(path: str, psi: np.ndarray, grid: Grid2D,
               f"# units = x,z um; n um^-2; M um^-2; psi um^-1\n"
               f"# config = {cfg_hash}\n"
               f"# columns = {' '.join(SNAPSHOT_COLUMNS)}\n")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_text(path) as fh:
         fh.write(header)
         np.savetxt(fh, table, fmt="%.10e")
 
@@ -323,7 +338,7 @@ def read_snapshot(path: str) -> tuple:
 
 def write_timeseries(path: str, series: OrderParamSeries,
                      cfg_hash: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_text(path) as fh:
         fh.write(f"# config = {cfg_hash}\n")
         fh.write(",".join(SERIES_COLUMNS) + "\n")
         for i in range(len(series)):
@@ -360,15 +375,14 @@ def snapshot_name(time_ms: float) -> str:
 
 
 def write_meta(run_dir: str, cfg: RunConfig) -> None:
-    path = os.path.join(run_dir, "meta")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_text(os.path.join(run_dir, "meta")) as fh:
         fh.write(f"# run metadata, package version {__version__}\n")
         fh.write(f"# config = {config_hash(cfg)}\n")
         fh.write(serialize_config(cfg))
 
 
 def mark_done(run_dir: str) -> None:
-    with open(os.path.join(run_dir, "DONE"), "w", encoding="utf-8") as fh:
+    with atomic_text(os.path.join(run_dir, "DONE")) as fh:
         fh.write("complete\n")
 
 

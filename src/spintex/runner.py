@@ -24,8 +24,8 @@ from .dynamics import Evolver, EvolutionSpec, evolve, make_cancellation_schedule
 from .errors import InvalidParameter
 from .field import (add_noise, imprint_helix, magnetization, prepare_initial,
                     rotate_spinor)
-from .io_text import (RunConfig, config_hash, load_config, mark_done,
-                      read_snapshot, snapshot_name, write_meta,
+from .io_text import (RunConfig, atomic_text, config_hash, load_config,
+                      mark_done, read_snapshot, snapshot_name, write_meta,
                       write_snapshot, write_timeseries)
 from .params import derive_params, trap_curvatures_hhz_um2
 
@@ -102,9 +102,12 @@ def run_simulate(cfg: RunConfig) -> RunResult:
     cfg.validate()
     run_dir = cfg.out_dir
     os.makedirs(run_dir, exist_ok=True)
-    done_path = os.path.join(run_dir, "DONE")
-    if os.path.exists(done_path):
-        os.remove(done_path)
+    # an earlier run's outputs would mix with this run's
+    for name in os.listdir(run_dir):
+        if name in ("DONE", "timeseries.csv", "analysis.csv") \
+                or name.endswith(".tmp") \
+                or (name.startswith("snap_t") and name.endswith(".txt")):
+            os.remove(os.path.join(run_dir, name))
     digest = config_hash(cfg)
     write_meta(run_dir, cfg)
 
@@ -207,8 +210,9 @@ def run_sweep_kappa(cfg: RunConfig, pitches) -> list:
     pitches = list(pitches)
     if len(pitches) < 2:
         raise InvalidParameter("need at least 2 pitches to sweep")
-    if any(p <= 0 for p in pitches):
-        raise InvalidParameter(f"pitches must be positive, got {pitches!r}")
+    if not all(math.isfinite(p) and p > 0 for p in pitches):
+        raise InvalidParameter(
+            f"pitches must be positive and finite, got {pitches!r}")
     names = [f"pitch_{pitch:g}" for pitch in pitches]
     if len(set(names)) < len(names):
         raise InvalidParameter(
@@ -226,7 +230,7 @@ def run_sweep_kappa(cfg: RunConfig, pitches) -> list:
         log.info("pitch %6.1f um   kappa %.4f rad/um   gamma %.4f /s",
                  pitch, kappa, gamma)
     path = os.path.join(base, "gamma.csv")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_text(path) as fh:
         fh.write(f"# config = {config_hash(cfg)}\n")
         fh.write("kappa_rad_per_um,gamma_per_s\n")
         for kappa, gamma in out_rows:

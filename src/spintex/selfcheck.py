@@ -18,7 +18,7 @@ from . import constants as cn
 from . import oracles
 from .dipole import helix_column_energy, interaction_kernel, planar_tensor
 from .dynamics import Evolver, EvolutionSpec, evolve
-from .field import expmi_tridiag, rotate_spinor, spin_matrices
+from .field import rotate_spinor, spin_matrices, zeeman_like_apply
 from .grid import Grid2D
 from .io_text import RunConfig
 from .params import derive_params
@@ -152,34 +152,27 @@ def check_sign_audit(flip_sign: bool = False) -> CheckResult:
 
 
 def check_expm() -> CheckResult:
-    """Per-site matrix exponential vs the dense reference."""
+    """Closed-form spin rotation (u = q = 0) and split local step vs the
+    dense exponential of v.F and the dense product of the step's factors."""
     rng = np.random.default_rng(11)
     fx, fy, fz = spin_matrices()
     err = 0.0
-    cases = []
-    for _ in range(40):
-        u = rng.normal()
-        q = rng.normal()
-        v = rng.normal(size=3)
-        cases.append((u, q, v))
-    # degenerate spectra: v = 0 and pure q
+    cases = [(rng.normal(), rng.normal(), rng.normal(size=3))
+             for _ in range(40)]
+    # v = 0 and |v| near zero, where the rotation takes its limits
     cases += [(1.3, 0.0, np.zeros(3)), (0.0, 2.0, np.zeros(3)),
               (0.7, 1e-9, np.array([1e-9, 0.0, 0.0]))]
+    dt = 0.37
+    basis = np.eye(3, dtype=complex)  # [component, site] = 3 columns
     for u, q, v in cases:
-        h = (u * np.eye(3) + q * (fz @ fz)
-             + v[0] * fx + v[1] * fy + v[2] * fz)
-        dt = 0.37
-        dense = linalg.expm(-1j * dt * h)
-        basis = np.eye(3, dtype=complex)  # [component, site] = 3 columns
-        vminus = (v[0] - 1j * v[1]) / math.sqrt(2.0)
-        got = expmi_tridiag(basis, dt,
-                            dp=np.array(u + q + v[2]),
-                            d0=np.array(u),
-                            dm=np.array(u + q - v[2]),
-                            up0=np.full((), vminus),
-                            u0m=np.full((), vminus))
-        err = max(err, float(np.abs(got - dense).max()))
-    return CheckResult("site exponential vs dense expm", err, 1e-12)
+        rot = linalg.expm(-1j * dt * (v[0] * fx + v[1] * fy + v[2] * fz))
+        half_q = linalg.expm(-0.5j * dt * q * (fz @ fz))
+        dense = np.exp(-1j * dt * u) * half_q @ rot @ half_q
+        got_rot = zeeman_like_apply(basis, dt, 0.0, 0.0, *v)
+        got = zeeman_like_apply(basis, dt, u, q, *v)
+        err = max(err, float(np.abs(got_rot - rot).max()),
+                  float(np.abs(got - dense).max()))
+    return CheckResult("local step factors vs dense expm", err, 1e-12)
 
 
 def lattice_table_report() -> str:

@@ -99,6 +99,22 @@ def test_coupling_off_is_inert():
     assert c.energy(s) == 0.0
 
 
+def test_field_of_is_the_full_tensor_product():
+    # field_of multiplies only the non-zero kernel entries; the entries
+    # it skips must be zero and the result the full 3x3 product
+    g = Grid2D(nx=16, nz=32, lx=8.0, lz=20.0)
+    s = np.random.default_rng(4).standard_normal((3, 16, 32))
+    for mode in ("bare", "larmor"):
+        c = DipolarCoupling(g, SIGMA_Y, mode, cn.CDD_HHZ_UM3)
+        for i, j in ((0, 1), (1, 0), (1, 2), (2, 1)):
+            assert not c.kernel[i, j].any()
+        sk = np.fft.rfft2(s, axes=(-2, -1))
+        bk = np.einsum("ij...,j...->i...", c.kernel, sk)
+        full = cn.CDD_HHZ_UM3 * np.fft.irfft2(bk, s=g.shape, axes=(-2, -1))
+        assert np.abs(c.field_of(s) - full).max() \
+            <= 1e-12 * np.abs(full).max()
+
+
 def test_coupling_energy_definition():
     g = Grid2D(nx=16, nz=16, lx=8.0, lz=8.0)
     c = DipolarCoupling(g, SIGMA_Y, "bare", cn.CDD_HHZ_UM3)

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from spintex import constants as cn
-from spintex import oracles
+from spintex import dynamics, oracles
 from spintex.dynamics import (Evolver, EvolutionSpec, PulseEvent,
                               PulseSchedule, evolve,
                               make_cancellation_schedule)
@@ -55,7 +55,7 @@ def test_free_particle_plane_wave():
     k = 2 * math.pi * 3 / g.lz
     psi = np.zeros((3, g.nx, g.nz), dtype=complex)
     psi[1] = np.exp(1j * k * g.z)[None, :]
-    out = ev.step(psi)
+    out = ev.advance(psi, 1)
     expected = psi * np.exp(-1j * cn.KIN_COEF * k * k * 0.05)
     assert np.abs(out - expected).max() < 1e-12
     # single-step norm error
@@ -98,7 +98,7 @@ def test_single_site_oscillation_vs_oracle():
     worst = 0.0
     sz_max = 0.0
     for i in range(1, len(t)):
-        psi = ev.step(psi)
+        psi = ev.advance(psi, 1)
         worst = max(worst, np.abs(psi[:, 0, 0] - ref[i]).max()
                     / math.sqrt(NBAR))
         sz_max = max(sz_max, abs(spin_density(psi)[2].max()) / NBAR)
@@ -222,7 +222,7 @@ def test_residual_gradient_winds():
     g = Grid2D(nx=8, nz=64, lx=4.0, lz=60.0)
     grad = 2000.0
     ev = make_evolver(g, q=0.0, c0=0.0, c2=0.0, mode="off", gradient=grad)
-    psi = ev.step(uniform_transverse(g))
+    psi = ev.advance(uniform_transverse(g), 1)
     s = spin_density(psi)
     phase = np.unwrap(np.angle(s[0, 0, :] + 1j * s[1, 0, :]))
     slopes = np.diff(phase) / g.dz
@@ -237,8 +237,110 @@ def test_nan_detection():
     ev = make_evolver(g)
     psi = uniform_transverse(g)
     psi[1, 0, 0] = np.nan
-    with pytest.raises(NumericalFailure):
-        ev.step(psi)
+    with pytest.raises(NumericalFailure,
+                       match=r"in step 1 \(t = 0\.05 ms\), first at "
+                             r"site \(ix, iz\) = \(0, 0\)"):
+        ev.advance(psi, 1)
+    # a failure born in the local step is reported where it began
+    # (the dipolar convolution would spread it, so dipoles are off)
+    potential = np.zeros(g.shape)
+    potential[3, 5] = np.inf
+    ev = make_evolver(g, mode="off", potential=potential)
+    with pytest.raises(NumericalFailure,
+                       match=r"in step 1 \(t = 0\.05 ms\), first at "
+                             r"site \(ix, iz\) = \(3, 5\)"):
+        ev.advance(uniform_transverse(g), 3)
+
+
+def test_advance_in_one_segment_equals_single_steps():
+    g = Grid2D(nx=16, nz=32, lx=8.0, lz=32.0)
+    ev = make_evolver(g)
+    psi0 = add_noise(imprint_helix(uniform_transverse(g), g,
+                                   2 * math.pi / 16.0),
+                     1e-2, np.random.default_rng(4))
+    merged = ev.advance(psi0, 10)
+    single = psi0
+    for _ in range(10):
+        single = ev.advance(single, 1)
+    assert np.abs(merged - single).max() < 1e-12 * np.abs(single).max()
+    with pytest.raises(InvalidParameter):
+        ev.advance(psi0, 0)
+
+
+def test_each_step_is_one_call_with_two_local_steps(monkeypatch):
+    calls = {"step": 0, "local": 0}
+    step, local = dynamics.Evolver.step, dynamics.zeeman_like_apply
+
+    def counted_step(*args, **kwargs):
+        calls["step"] += 1
+        return step(*args, **kwargs)
+
+    def counted_local(*args, **kwargs):
+        calls["local"] += 1
+        return local(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics.Evolver, "step", counted_step)
+    monkeypatch.setattr(dynamics, "zeeman_like_apply", counted_local)
+    g = Grid2D(nx=8, nz=8, lx=4.0, lz=4.0)
+    ev = make_evolver(g)
+    sched = PulseSchedule(events=(PulseEvent(0.12, (0.0, 1.0, 0.0),
+                                             math.pi / 2),),
+                          t_final_ms=0.35)
+    evolve(uniform_transverse(g), ev, 7, schedule=sched,
+           observer=lambda n, p: None, observe_every=3)
+    assert calls == {"step": 7, "local": 14}
+
+
+def test_pulses_land_on_the_first_boundary_at_or_after_them(monkeypatch):
+    # evolve against a stand-in stepper that only counts steps, so the
+    # recorded index is the step boundary where each pulse fired
+    dt = 0.05
+
+    class Counter:
+        spec = EvolutionSpec(grid=Grid2D(nx=8, nz=8, lx=4.0, lz=4.0),
+                             dt_ms=dt, q_hz=0.0, c0_2d=0.0, c2_2d=0.0,
+                             sigma_y_um=SIGMA_Y, c_dd=0.0)
+        done = 0
+
+        def advance(self, psi, n):
+            self.done += n
+            return psi
+
+    def first_boundary(t, n_steps):
+        # the rule of the step-by-step loop: after step n, fire every
+        # pending event with time_ms <= n*dt + 1e-9
+        return next((n for n in range(1, n_steps + 1)
+                     if t <= n * dt + 1e-9), None)
+
+    def fired_at(times, n_steps=8):
+        counter, fired = Counter(), []
+
+        def record(psi, axis, angle):
+            fired.append(counter.done)
+            return psi
+
+        monkeypatch.setattr(dynamics, "rotate_spinor", record)
+        sched = PulseSchedule(events=tuple(PulseEvent(t, (1.0, 0.0, 0.0), 1.0)
+                                           for t in times), t_final_ms=0.45)
+        evolve(np.zeros((3, 8, 8), complex), counter, n_steps,
+               schedule=sched, observer=lambda n, p: None, observe_every=3)
+        assert counter.done == n_steps
+        return fired
+
+    times = [0.0, 1e-10, 0.15, 0.15 + 1e-10, 0.15 - 1e-10, 0.15 + 2e-9]
+    for k in range(1, 9):
+        times += [k * dt, k * dt + 1e-10, k * dt - 1e-10, k * dt + 2e-9]
+    for t in times:
+        expected = first_boundary(t, 8)
+        assert fired_at([t]) == ([] if expected is None else [expected]), t
+    # several events, two of them between the same pair of boundaries
+    several = [0.01, 0.11, 0.12, 0.15 + 2e-9, 0.3]
+    assert fired_at(several) == [first_boundary(t, 8) for t in several] \
+        == [1, 3, 3, 4, 6]
+    # pinned cases: on the boundary, within the clock's 1e-9, past it
+    assert [first_boundary(t, 8) for t in (0.0, 0.15, 3 * dt + 1e-10,
+                                           3 * dt + 2e-9, 8 * dt + 2e-9)] \
+        == [1, 3, 3, 4, None]
 
 
 def test_energy_per_atom_requires_atoms():

@@ -6,14 +6,11 @@ from scipy import linalg
 
 from spintex.errors import GridMismatch, InvalidParameter
 from spintex.field import (InitialState, MagnetizationField, add_noise,
-                           expmi_tridiag, imprint_helix, magnetization,
+                           imprint_helix, magnetization,
                            number_density, prepare_initial, rotate_spinor,
                            spin_density, spin_matrices, thomas_fermi_density,
                            transverse_state, zeeman_like_apply)
 from spintex.grid import Grid2D
-
-SQRT2 = math.sqrt(2.0)
-
 
 def test_spin_matrices_algebra():
     fx, fy, fz = spin_matrices()
@@ -92,54 +89,81 @@ def test_imprint_helix_shape_check():
         imprint_helix(np.zeros((3, 8, 16), dtype=complex), g, 1.0)
 
 
-def test_expmi_tridiag_matches_dense():
+def _dense_split(dt, u, q, vx, vy, vz):
+    fx, fy, fz = spin_matrices()
+    half_q = linalg.expm(-0.5j * dt * q * (fz @ fz))
+    rot = linalg.expm(-1j * dt * (vx * fx + vy * fy + vz * fz))
+    return np.exp(-1j * dt * u) * half_q @ rot @ half_q
+
+
+def test_spin_rotation_matches_dense():
+    # with u = q = 0 the local step is the closed-form rotation alone
     rng = np.random.default_rng(9)
+    cases = [rng.standard_normal(3) for _ in range(25)]
+    cases += [np.zeros(3),                          # v = 0: the limits
+              np.array([1e-9, 0.0, 0.0]),           # |v| = 1e-9
+              np.array([0.0, 6e-10, -8e-10]),       # |v| = 1e-9
+              np.array([0.0, 0.0, 2.0])]            # pure Fz
     fx, fy, fz = spin_matrices()
     worst = 0.0
-    cases = [rng.standard_normal(5) for _ in range(25)]
-    cases += [np.array([1.0, 0.0, 0.0, 0.0, 0.0]),       # pure identity
-              np.array([0.0, 2.0, 0.0, 0.0, 0.0]),       # degenerate pair
-              np.array([0.3, 1e-12, 1e-12, 0.0, 0.0])]   # near-degenerate
-    for u, q, vx, vy, vz in cases:
-        h = u * np.eye(3) + q * (fz @ fz) + vx * fx + vy * fy + vz * fz
-        dense = linalg.expm(-1j * 0.83 * h)
-        vminus = (vx - 1j * vy) / SQRT2
-        got = expmi_tridiag(np.eye(3, dtype=complex), 0.83,
-                            dp=np.array(u + q + vz), d0=np.array(u),
-                            dm=np.array(u + q - vz),
-                            up0=np.asarray(vminus), u0m=np.asarray(vminus))
+    for vx, vy, vz in cases:
+        dense = linalg.expm(-1j * 0.83 * (vx * fx + vy * fy + vz * fz))
+        got = zeeman_like_apply(np.eye(3, dtype=complex), 0.83, 0.0, 0.0,
+                                vx, vy, vz)
         worst = max(worst, np.abs(got - dense).max())
     assert worst < 1e-12
 
 
-def test_expmi_tridiag_unitary_on_fields():
-    rng = np.random.default_rng(11)
-    shape = (4, 6)
-    psi = rng.standard_normal((3,) + shape) \
-        + 1j * rng.standard_normal((3,) + shape)
-    u = rng.standard_normal(shape)
-    q = 0.7
-    v = rng.standard_normal((3,) + shape)
-    vminus = (v[0] - 1j * v[1]) / SQRT2
-    out = expmi_tridiag(psi, 0.3, dp=u + q + v[2], d0=u, dm=u + q - v[2],
-                        up0=vminus, u0m=vminus)
-    assert np.allclose(number_density(out), number_density(psi), atol=1e-12)
-
-
-def test_zeeman_like_apply_consistent():
+def test_zeeman_like_apply_matches_dense_factors():
     rng = np.random.default_rng(13)
+    cases = [rng.standard_normal(5) for _ in range(25)]
+    cases += [np.array([1.0, 0.0, 0.0, 0.0, 0.0]),       # pure phase
+              np.array([0.0, 2.0, 0.0, 0.0, 0.0]),       # pure q, v = 0
+              np.array([0.3, 1e-12, 1e-9, 0.0, 0.0])]    # |v| = 1e-9
+    worst = 0.0
+    for u, q, vx, vy, vz in cases:
+        got = zeeman_like_apply(np.eye(3, dtype=complex), 0.41, u, q,
+                                vx, vy, vz)
+        worst = max(worst,
+                    np.abs(got - _dense_split(0.41, u, q, vx, vy, vz)).max())
+    assert worst < 1e-12
+    # on fields, site by site, with u and v arrays and q a scalar
     shape = (4, 4)
     psi = rng.standard_normal((3,) + shape) \
         + 1j * rng.standard_normal((3,) + shape)
     u = rng.standard_normal(shape)
     v = rng.standard_normal((3,) + shape)
-    q = 1.3
-    dt = 0.41
-    got = zeeman_like_apply(psi, dt, u, q, v[0], v[1], v[2])
-    vminus = (v[0] - 1j * v[1]) / SQRT2
-    ref = expmi_tridiag(psi, dt, dp=u + q + v[2], d0=u, dm=u + q - v[2],
-                        up0=vminus, u0m=vminus)
-    assert np.allclose(got, ref, atol=1e-13)
+    got = zeeman_like_apply(psi, 0.41, u, 1.3, v[0], v[1], v[2])
+    for ix, iz in np.ndindex(shape):
+        ref = _dense_split(0.41, u[ix, iz], 1.3, *v[:, ix, iz]) \
+            @ psi[:, ix, iz]
+        assert np.abs(got[:, ix, iz] - ref).max() < 1e-12
+
+
+def test_zeeman_like_apply_split_error_is_third_order():
+    fx, fy, fz = spin_matrices()
+    u, q, vx, vy, vz = 0.3, 1.1, 0.7, -0.4, 0.9
+    h = u * np.eye(3) + q * (fz @ fz) + vx * fx + vy * fy + vz * fz
+
+    def err(dt):
+        got = zeeman_like_apply(np.eye(3, dtype=complex), dt, u, q,
+                                vx, vy, vz)
+        return np.abs(got - linalg.expm(-1j * dt * h)).max()
+
+    for dt in (0.2, 0.1):
+        assert err(dt) / err(0.5 * dt) == pytest.approx(8.0, abs=1.5)
+
+
+def test_zeeman_like_apply_unitary_on_fields():
+    rng = np.random.default_rng(11)
+    shape = (4, 6)
+    psi = rng.standard_normal((3,) + shape) \
+        + 1j * rng.standard_normal((3,) + shape)
+    u = rng.standard_normal(shape)
+    v = rng.standard_normal((3,) + shape)
+    v[:, 0, 0] = 0.0
+    out = zeeman_like_apply(psi, 0.3, u, 0.7, v[0], v[1], v[2])
+    assert np.allclose(number_density(out), number_density(psi), atol=1e-12)
 
 
 def test_magnetization_container():

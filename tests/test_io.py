@@ -302,3 +302,25 @@ def test_meta_and_done_markers(tmp_path):
     assert not is_complete(run_dir)
     mark_done(run_dir)
     assert is_complete(run_dir)
+
+
+def test_interrupted_write_leaves_no_file(tmp_path, monkeypatch):
+    g = Grid2D(nx=8, nz=8, lx=4.0, lz=4.0)
+    psi = np.ones((3,) + g.shape, dtype=complex)
+    path = str(tmp_path / "snap_t0.txt")
+
+    def fail_partway(fh, table, fmt):
+        fh.write("%.10e\n" % table[0, 0])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savetxt", fail_partway)
+    with pytest.raises(OSError, match="disk full"):
+        write_snapshot(path, psi, g, 0.0, "abc")
+    assert os.listdir(tmp_path) == []
+    monkeypatch.undo()
+    # a completed write replaces an earlier file whole
+    write_snapshot(path, psi, g, 0.0, "abc")
+    write_snapshot(path, 2.0 * psi, g, 0.0, "abc")
+    back, _, _ = read_snapshot(path)
+    assert np.array_equal(back, 2.0 * psi)
+    assert os.listdir(tmp_path) == ["snap_t0.txt"]

@@ -2,6 +2,7 @@
 
 import logging
 import os
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -133,16 +134,33 @@ def test_analyze_run_error_cases(tmp_path):
 
 
 def test_analyze_run_rejects_snapshots_of_another_run(tmp_path):
-    run_simulate(small_cfg(tmp_path, nx=16, lx_um=8.0,
-                           atom_number=D.n2d_peak * 8.0 * 60.0))
-    cfg = small_cfg(tmp_path, nx=16, lx_um=8.0,
-                    atom_number=D.n2d_peak * 8.0 * 60.0,
-                    t_final_ms=0.5, rng_seed=9)
+    small = dict(nx=16, lx_um=8.0, atom_number=D.n2d_peak * 8.0 * 60.0)
+    other = run_simulate(small_cfg(tmp_path, out_dir=str(tmp_path / "other"),
+                                   **small))
+    cfg = small_cfg(tmp_path, t_final_ms=0.5, rng_seed=9, **small)
     result = run_simulate(cfg)
     assert len(result.series) == 3
-    # snap_t0.75 and snap_t1 are left over from the first run
-    with pytest.raises(InvalidParameter, match=r"snap_t(0\.75|1)\.txt"):
+    # a snapshot of another run planted in this run's directory
+    shutil.copy(os.path.join(other.run_dir, "snap_t1.txt"), result.run_dir)
+    with pytest.raises(InvalidParameter, match=r"snap_t1\.txt"):
         analyze_run(result.run_dir)
+
+
+def test_rerun_into_one_directory_replaces_the_earlier_run(tmp_path):
+    small = dict(nx=16, lx_um=8.0, atom_number=D.n2d_peak * 8.0 * 60.0,
+                 snapshot_write_every_ms=0.25)
+    run_simulate(small_cfg(tmp_path, **small))
+    result = run_simulate(small_cfg(tmp_path, t_final_ms=0.5, rng_seed=9,
+                                    **small))
+    # the first run's snap_t0.75 and snap_t1 are gone
+    names = sorted(n for n in os.listdir(result.run_dir)
+                   if n.startswith("snap_t"))
+    assert names == ["snap_t0.25.txt", "snap_t0.5.txt", "snap_t0.txt"]
+    stored = read_timeseries(os.path.join(result.run_dir, "timeseries.csv"))
+    again = analyze_run(result.run_dir)
+    assert len(again) == len(stored) == 3
+    assert list(again.t_ms) == list(stored.t_ms) == [0.0, 0.25, 0.5]
+    assert np.allclose(again.long_order, stored.long_order, rtol=1e-7)
 
 
 def test_integer_valued_inputs_keep_one_config_hash(tmp_path):
@@ -219,6 +237,9 @@ def test_sweep_validation_and_output(tmp_path):
         run_sweep_kappa(cfg, [60.0])
     with pytest.raises(InvalidParameter, match="positive"):
         run_sweep_kappa(cfg, [60.0, -50.0])
+    with pytest.raises(InvalidParameter, match="finite"):
+        run_sweep_kappa(cfg, [60.0, float("nan")])
+    assert not os.path.exists(os.path.join(cfg.out_dir, "pitch_60"))
 
     # %g directory names: pitches that print alike would share pitch_60
     for same in ([60.0000001, 60.0000002], [60, 60.0]):
