@@ -11,6 +11,13 @@ which keeps the whole scheme second order in dt.  Evolver.advance
 merges each step's closing kinetic half step with the next step's
 opening one, so a run of steps costs one FFT pair per step.
 
+Everything but the FFTs is site-local, so Evolver.step runs it in
+three loops over blocks of whole grid rows (about _BLOCK_SITES sites),
+small enough that a block's temporaries stay in cache.  Each block
+sees the inputs one pass over the grid would, so the result does not
+depend on the block size, bit for bit.  The kinetic FFTs run one spin
+component at a time.
+
 Units: energies in h*Hz, time in ms, lengths in um.  The local phases
 are converted with RADPMS_PER_HHZ once per application.
 """
@@ -26,6 +33,10 @@ from .errors import InvalidParameter, NumericalFailure
 from .field import (number_density, rotate_spinor, spin_density,
                     zeeman_like_apply)
 from .grid import Grid2D
+
+# sites per block of rows in Evolver.step: one block's complex temporaries
+# (64 KB each) stay in a core's L2 cache
+_BLOCK_SITES = 4096
 
 
 @dataclass(frozen=True)
@@ -70,25 +81,19 @@ class Evolver:
         # linear Zeeman from a residual field gradient along z, h*Hz
         slope = cn.LARMOR_HZ_PER_G * cn.MG_CM_TO_G_UM * spec.gradient_mg_cm
         self.linear_z = slope * g.z[None, :]
-        self._kin_half = np.exp(
-            -0.5j * cn.KIN_COEF * g.k2 * spec.dt_ms)[None, :, :]
+        self._kin_half = np.exp(-0.5j * cn.KIN_COEF * g.k2 * spec.dt_ms)
         self._kin_full = self._kin_half * self._kin_half
         self._steps_taken = 0
 
-    def _local_step(self, psi, source, theta) -> np.ndarray:
-        """Local step of psi with the mean-field coefficients of source."""
-        s = spin_density(source)
-        b = self.coupling.field_of(s)
-        c2 = self.spec.c2_2d
-        u = self.potential + self.spec.c0_2d * number_density(source)
-        return zeeman_like_apply(psi, theta, u, self.spec.q_hz,
-                                 c2 * s[0] - b[0], c2 * s[1] - b[1],
-                                 c2 * s[2] - b[2] + self.linear_z)
-
     def _kinetic(self, psi: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
-        pk = np.fft.fft2(psi, axes=(-2, -1))
-        pk *= multiplier
-        return np.fft.ifft2(pk, axes=(-2, -1))
+        # one spin component at a time: a 2D transform's working set is a
+        # third of the batched one's, and its result is the same
+        out = np.empty_like(psi)
+        for c in range(3):
+            pk = np.fft.fft2(psi[c])
+            pk *= multiplier
+            out[c] = np.fft.ifft2(pk)
+        return out
 
     def advance(self, psi: np.ndarray, n: int) -> np.ndarray:
         """Take n full steps (n >= 1) and return the field after them."""
@@ -100,23 +105,57 @@ class Evolver:
         return psi
 
     def step(self, psi: np.ndarray, last: bool) -> np.ndarray:
-        """One step inside advance, after its opening kinetic half step:
-        the local step, then the closing kinetic half step merged with
-        the next step's opening one (alone on the last step)."""
-        theta = self.spec.dt_ms * cn.RADPMS_PER_HHZ
-        # exponential midpoint: predict half a local step, refresh the
-        # mean-field coefficients there, then take the full local step
-        pred = self._local_step(psi, psi, 0.5 * theta)
-        psi = self._local_step(psi, pred, theta)
+        """One step inside advance, after its opening kinetic half step.
+
+        The exponential-midpoint local step runs as three loops over
+        blocks of rows, around the two dipolar convolutions:
+        A. s and n, the spin and number densities of psi;
+        B. half a local step of psi with the coefficients of (s, n),
+           keeping only the densities of that predicted field, which
+           overwrite (s, n) block by block;
+        C. the full local step of psi with the predicted coefficients.
+        Then comes the closing kinetic half step, merged with the next
+        step's opening one (alone on the last step).
+        """
+        spec = self.spec
+        theta = spec.dt_ms * cn.RADPMS_PER_HHZ
+        nx, nz = spec.grid.shape
+        rows = max(1, _BLOCK_SITES // nz)
+        blocks = [slice(i, i + rows) for i in range(0, nx, rows)]
+        s = np.empty((3, nx, nz))
+        n = np.empty((nx, nz))
+
+        c2 = spec.c2_2d
+
+        def local(r, b, th):
+            # local step of psi's rows r with the coefficients of (s, n, b)
+            u = self.potential[r] + spec.c0_2d * n[r]
+            return zeeman_like_apply(psi[:, r], th, u, spec.q_hz,
+                                     c2 * s[0, r] - b[0, r],
+                                     c2 * s[1, r] - b[1, r],
+                                     c2 * s[2, r] - b[2, r] + self.linear_z)
+
+        for r in blocks:
+            s[:, r] = spin_density(psi[:, r])
+            n[r] = number_density(psi[:, r])
+        b = self.coupling.field_of(s)
+        for r in blocks:
+            pred = local(r, b, 0.5 * theta)
+            s[:, r] = spin_density(pred)
+            n[r] = number_density(pred)
+        b = self.coupling.field_of(s)
+        out = np.empty_like(psi)
+        for r in blocks:
+            out[:, r] = local(r, b, theta)
         self._steps_taken += 1
         # checked before the FFT spreads a non-finite site over the grid
-        if not np.all(np.isfinite(psi.view(float))):
-            _, ix, iz = np.argwhere(~np.isfinite(psi))[0]
+        if not np.all(np.isfinite(out.view(float))):
+            _, ix, iz = np.argwhere(~np.isfinite(out))[0]
             raise NumericalFailure(
                 f"non-finite amplitudes in step {self._steps_taken} "
-                f"(t = {self._steps_taken * self.spec.dt_ms:.12g} ms), "
+                f"(t = {self._steps_taken * spec.dt_ms:.12g} ms), "
                 f"first at site (ix, iz) = ({ix}, {iz})")
-        return self._kinetic(psi, self._kin_half if last else self._kin_full)
+        return self._kinetic(out, self._kin_half if last else self._kin_full)
 
     # -- diagnostics ---------------------------------------------------
 
@@ -172,6 +211,12 @@ class PulseSchedule:
     t_final_ms: float
 
     def __post_init__(self):
+        for i, ev in enumerate(self.events):
+            for name in ("time_ms", "axis", "angle"):
+                value = getattr(ev, name)
+                if not np.all(np.isfinite(value)):
+                    raise InvalidParameter(
+                        f"pulse {i}: {name} must be finite, got {value!r}")
         times = [e.time_ms for e in self.events]
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise InvalidParameter("pulse times must be strictly increasing")

@@ -68,6 +68,11 @@ def magnetization(psi: np.ndarray, grid: Grid2D) -> MagnetizationField:
 def rotate_spinor(psi: np.ndarray, axis: tuple, angle: float) -> np.ndarray:
     """Apply exp(-i angle n.F) site-wise for a global unit axis n."""
     n = np.asarray(axis, dtype=float)
+    if not np.all(np.isfinite(n)):
+        raise InvalidParameter(f"rotation axis must be finite, got {axis!r}")
+    if not math.isfinite(angle):
+        raise InvalidParameter(
+            f"rotation angle must be finite, got {angle!r}")
     norm = np.linalg.norm(n)
     if norm == 0:
         raise InvalidParameter("rotation axis must be nonzero")
@@ -114,11 +119,14 @@ def _spin_rotation(psi, theta, vx, vy, vz) -> tuple:
     v2 = vx * vx + vy * vy + vz * vz
     zero = v2 == 0
     vabs = np.sqrt(np.where(zero, 1.0, v2))
-    sin_h = np.sin(0.5 * theta * vabs)
-    cos_h = np.cos(0.5 * theta * vabs)
-    c1 = np.where(zero, theta, 2.0 * sin_h * cos_h / vabs)
+    half = 0.5 * theta * vabs
+    sin_h = np.sin(half)
+    cos_h = np.cos(half)
+    # cast once the real factors that multiply complex values below
+    c1 = np.where(zero, theta, 2.0 * sin_h * cos_h / vabs).astype(complex)
     c2 = np.where(zero, -0.5 * theta * theta,
-                  -2.0 * sin_h * sin_h / (vabs * vabs))
+                  -2.0 * sin_h * sin_h / (vabs * vabs)).astype(complex)
+    vz = np.asarray(vz, dtype=complex)
     vm = (vx - 1j * vy) / SQRT2
     vp = np.conj(vm)
 

@@ -273,6 +273,9 @@ def atomic_text(path: str):
 
 SNAPSHOT_COLUMNS = ("x_um", "z_um", "n", "Mx", "My", "Mz",
                     "re_p1", "im_p1", "re_p0", "im_p0", "re_m1", "im_m1")
+# one table row, as np.savetxt(fmt="%.10e") writes it
+_SNAPSHOT_ROW = " ".join(["%.10e"] * len(SNAPSHOT_COLUMNS)) + "\n"
+_SNAPSHOT_CHUNK_ROWS = 2048
 
 
 def write_snapshot(path: str, psi: np.ndarray, grid: Grid2D,
@@ -295,7 +298,11 @@ def write_snapshot(path: str, psi: np.ndarray, grid: Grid2D,
               f"# columns = {' '.join(SNAPSHOT_COLUMNS)}\n")
     with atomic_text(path) as fh:
         fh.write(header)
-        np.savetxt(fh, table, fmt="%.10e")
+        # whole chunks of rows per format call, from Python floats
+        for start in range(0, len(table), _SNAPSHOT_CHUNK_ROWS):
+            chunk = table[start:start + _SNAPSHOT_CHUNK_ROWS]
+            fh.write((_SNAPSHOT_ROW * len(chunk))
+                     % tuple(chunk.ravel().tolist()))
 
 
 def read_snapshot(path: str) -> tuple:

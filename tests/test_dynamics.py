@@ -232,7 +232,7 @@ def test_residual_gradient_winds():
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
-def test_nan_detection():
+def test_nan_detection(monkeypatch):
     g = Grid2D(nx=8, nz=8, lx=4.0, lz=4.0)
     ev = make_evolver(g)
     psi = uniform_transverse(g)
@@ -250,6 +250,16 @@ def test_nan_detection():
                        match=r"in step 1 \(t = 0\.05 ms\), first at "
                              r"site \(ix, iz\) = \(3, 5\)"):
         ev.advance(uniform_transverse(g), 3)
+    # the same report when the bad site lies in the last of several
+    # blocks (3 + 3 + 2 rows)
+    monkeypatch.setattr(dynamics, "_BLOCK_SITES", 24)
+    potential = np.zeros(g.shape)
+    potential[7, 2] = np.inf
+    ev = make_evolver(g, mode="off", potential=potential)
+    with pytest.raises(NumericalFailure,
+                       match=r"in step 1 \(t = 0\.05 ms\), first at "
+                             r"site \(ix, iz\) = \(7, 2\)"):
+        ev.advance(uniform_transverse(g), 3)
 
 
 def test_advance_in_one_segment_equals_single_steps():
@@ -265,6 +275,21 @@ def test_advance_in_one_segment_equals_single_steps():
     assert np.abs(merged - single).max() < 1e-12 * np.abs(single).max()
     with pytest.raises(InvalidParameter):
         ev.advance(psi0, 0)
+
+
+def test_blocks_of_rows_do_not_change_the_step(monkeypatch):
+    # 24 sites are 3 rows of an 8-wide grid: blocks of 3, 3, ..., 3, 1
+    g = Grid2D(nx=16, nz=8, lx=8.0, lz=8.0)
+    potential = np.random.default_rng(6).random(g.shape)
+    psi0 = add_noise(imprint_helix(uniform_transverse(g), g,
+                                   2 * math.pi / 4.0),
+                     1e-2, np.random.default_rng(5))
+    results = []
+    for block_sites in (g.nx * g.nz, 24):
+        monkeypatch.setattr(dynamics, "_BLOCK_SITES", block_sites)
+        ev = make_evolver(g, gradient=0.5, potential=potential)
+        results.append(ev.advance(psi0, 5))
+    assert np.array_equal(results[0], results[1])
 
 
 def test_each_step_is_one_call_with_two_local_steps(monkeypatch):
@@ -289,6 +314,13 @@ def test_each_step_is_one_call_with_two_local_steps(monkeypatch):
     evolve(uniform_transverse(g), ev, 7, schedule=sched,
            observer=lambda n, p: None, observe_every=3)
     assert calls == {"step": 7, "local": 14}
+    # on several blocks: two local steps per block and step, so 2 x 3
+    # blocks (3 + 3 + 2 rows of 8 sites) x 7 steps
+    monkeypatch.setattr(dynamics, "_BLOCK_SITES", 24)
+    calls.update(step=0, local=0)
+    evolve(uniform_transverse(g), ev, 7, schedule=sched,
+           observer=lambda n, p: None, observe_every=3)
+    assert calls == {"step": 7, "local": 2 * 3 * 7}
 
 
 def test_pulses_land_on_the_first_boundary_at_or_after_them(monkeypatch):
@@ -361,6 +393,22 @@ def test_pulse_schedule_validation():
         make_cancellation_schedule(0.0, 100.0, 1)
     with pytest.raises(InvalidParameter):
         make_cancellation_schedule(1.0, -5.0, 1)
+    nan, inf = float("nan"), float("inf")
+    for field, bad in (("time_ms", PulseEvent(nan, (1.0, 0.0, 0.0), 1.0)),
+                       ("time_ms", PulseEvent(-inf, (1.0, 0.0, 0.0), 1.0)),
+                       ("axis", PulseEvent(0.5, (nan, 0.0, 0.0), 1.0)),
+                       ("axis", PulseEvent(0.5, (1.0, inf, 0.0), 1.0)),
+                       ("angle", PulseEvent(0.5, (1.0, 0.0, 0.0), nan)),
+                       ("angle", PulseEvent(0.5, (1.0, 0.0, 0.0), inf))):
+        with pytest.raises(InvalidParameter, match=f"pulse 1: {field}"):
+            PulseSchedule(events=(ev2, bad), t_final_ms=2.0)
+    psi = uniform_transverse(Grid2D(nx=8, nz=8, lx=4.0, lz=4.0))
+    for axis, angle, field in (((nan, 0.0, 0.0), 1.0, "axis"),
+                               ((1.0, 0.0, -inf), 1.0, "axis"),
+                               ((1.0, 0.0, 0.0), nan, "angle"),
+                               ((1.0, 0.0, 0.0), -inf, "angle")):
+        with pytest.raises(InvalidParameter, match=f"rotation {field}"):
+            rotate_spinor(psi, axis, angle)
 
 
 def test_cancellation_schedule_statistics():

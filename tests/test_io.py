@@ -1,14 +1,17 @@
 """Tests for the text config format, snapshot tables, and run directories."""
 
 import dataclasses
+import io
 import math
 import os
 
 import numpy as np
 import pytest
 
+from spintex import io_text
 from spintex.analysis import ENERGY_KEYS, OrderParamSeries
 from spintex.errors import InvalidParameter
+from spintex.field import number_density, spin_density
 from spintex.grid import Grid2D
 from spintex.io_text import (
     RunConfig,
@@ -197,6 +200,33 @@ def test_snapshot_round_trip(tmp_path):
     assert np.max(np.abs(back - psi)) < 1e-9
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("chunk_rows", [2048, 48])
+def test_snapshot_table_bytes_match_savetxt(tmp_path, monkeypatch,
+                                            chunk_rows):
+    # 64 rows: less than one default chunk, and 48 + 16 with a small one
+    monkeypatch.setattr(io_text, "_SNAPSHOT_CHUNK_ROWS", chunk_rows)
+    g = Grid2D(nx=8, nz=8, lx=4.0, lz=4.0)
+    rng = np.random.default_rng(5)
+    psi = (rng.standard_normal((3,) + g.shape)
+           + 1j * rng.standard_normal((3,) + g.shape))
+    psi[0, 0, :4] = [0.0, -0.0, 5e-324, -5e-324]
+    psi[1, 1, :4] = [1e300, -1e300, 1e150 + 1e-300j, complex(-0.0, 0.0)]
+    path = str(tmp_path / "snap.txt")
+    write_snapshot(path, psi, g, time_ms=0.0, cfg_hash="x")
+    m = spin_density(psi)
+    cols = [np.broadcast_to(g.x[:, None], g.shape),
+            np.broadcast_to(g.z[None, :], g.shape), number_density(psi),
+            m[0], m[1], m[2]]
+    cols += [part for comp in psi for part in (comp.real, comp.imag)]
+    expected = io.BytesIO()
+    np.savetxt(expected, np.stack([c.ravel() for c in cols], axis=1),
+               fmt="%.10e")
+    with open(path, "rb") as fh:
+        table = b"".join(ln for ln in fh if not ln.startswith(b"#"))
+    assert table == expected.getvalue()
+
+
 def test_snapshot_missing_header(tmp_path):
     g = Grid2D(nx=8, nz=8, lx=4.0, lz=4.0)
     psi = np.ones((3,) + g.shape, dtype=complex)
@@ -309,11 +339,27 @@ def test_interrupted_write_leaves_no_file(tmp_path, monkeypatch):
     psi = np.ones((3,) + g.shape, dtype=complex)
     path = str(tmp_path / "snap_t0.txt")
 
-    def fail_partway(fh, table, fmt):
-        fh.write("%.10e\n" % table[0, 0])
-        raise OSError("disk full")
+    class FullDisk:
+        """A file that fills up after the header and one chunk of rows."""
 
-    monkeypatch.setattr(np, "savetxt", fail_partway)
+        def __init__(self, *args, **kwargs):
+            self.fh = open(*args, **kwargs)
+            self.writes = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes == 3:
+                raise OSError("disk full")
+            return self.fh.write(text)
+
+    monkeypatch.setattr(io_text, "_SNAPSHOT_CHUNK_ROWS", 16)
+    monkeypatch.setattr(io_text, "open", FullDisk, raising=False)
     with pytest.raises(OSError, match="disk full"):
         write_snapshot(path, psi, g, 0.0, "abc")
     assert os.listdir(tmp_path) == []

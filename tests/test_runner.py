@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from spintex import dynamics
 from spintex.errors import InvalidParameter
 from spintex.field import spin_density
 from spintex.io_text import (RunConfig, is_complete, parse_config,
@@ -93,6 +94,25 @@ def test_run_is_deterministic(tmp_path):
     c = run_simulate(small_cfg(tmp_path, out_dir=str(tmp_path / "c"),
                                rng_seed=43))
     assert not np.array_equal(a.psi, c.psi)
+
+
+def test_run_directory_does_not_depend_on_the_block_size(tmp_path,
+                                                         monkeypatch):
+    # out_dir enters the config hash, so both runs use the same relative
+    # out_dir, each under its own working directory; 640 sites are 10 of
+    # the 64-site rows: blocks of 10, 10, 10 and 2 rows
+    trees = []
+    for block_sites in (dynamics._BLOCK_SITES, 640):
+        monkeypatch.setattr(dynamics, "_BLOCK_SITES", block_sites)
+        work = tmp_path / f"blocks_{block_sites}"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        run_simulate(small_cfg(tmp_path, out_dir="run",
+                               snapshot_write_every_ms=0.5))
+        trees.append({name: (work / "run" / name).read_bytes()
+                      for name in os.listdir(work / "run")})
+    assert "snap_t0.5.txt" in trees[0]
+    assert trees[0] == trees[1]
 
 
 def test_analyze_run_matches_live_measurements(tmp_path):
