@@ -6,15 +6,13 @@ from .errors import (GridMismatch, InvalidParameter, NumericalFailure,
                      SpintexError)
 from .grid import Grid2D
 from .params import DerivedParams, derive_params
-from .field import (InitialState, MagnetizationField, add_noise,
-                    imprint_helix, magnetization, number_density,
-                    prepare_initial, rotate_spinor, spin_density,
-                    transverse_state)
+from .field import (MagnetizationField, add_noise, imprint_helix,
+                    magnetization, number_density, prepare_initial,
+                    rotate_spinor, spin_density, transverse_state)
 from .dipole import DipolarCoupling, helix_column_energy, interaction_kernel
-from .dynamics import (Evolver, EvolutionSpec, PulseEvent, PulseSchedule,
-                       evolve, make_cancellation_schedule)
-from .analysis import (OrderParamSeries, PowerSpectrum, RegionSpec, Vortex,
-                       VortexSet, correlation, detect_vortices,
+from .dynamics import (Evolver, PulseEvent, PulseSchedule, evolve,
+                       make_cancellation_schedule)
+from .analysis import (OrderParamSeries, RegionSpec, Vortex, detect_vortices,
                        dominant_wavevector, growth_rate, order_parameters,
                        power_spectrum)
 from .io_text import (RunConfig, config_hash, load_config, parse_config,
@@ -26,15 +24,15 @@ __all__ = [
     "__version__",
     "SpintexError", "InvalidParameter", "GridMismatch", "NumericalFailure",
     "Grid2D", "DerivedParams", "derive_params",
-    "InitialState", "MagnetizationField", "add_noise", "imprint_helix",
+    "MagnetizationField", "add_noise", "imprint_helix",
     "magnetization", "number_density", "prepare_initial", "rotate_spinor",
     "spin_density", "transverse_state",
     "DipolarCoupling", "helix_column_energy", "interaction_kernel",
-    "Evolver", "EvolutionSpec", "PulseEvent", "PulseSchedule", "evolve",
+    "Evolver", "PulseEvent", "PulseSchedule", "evolve",
     "make_cancellation_schedule",
-    "OrderParamSeries", "PowerSpectrum", "RegionSpec", "Vortex", "VortexSet",
-    "correlation", "detect_vortices", "dominant_wavevector", "growth_rate",
-    "order_parameters", "power_spectrum",
+    "OrderParamSeries", "RegionSpec", "Vortex", "detect_vortices",
+    "dominant_wavevector", "growth_rate", "order_parameters",
+    "power_spectrum",
     "RunConfig", "config_hash", "load_config", "parse_config",
     "read_snapshot", "read_timeseries", "serialize_config", "write_snapshot",
     "write_timeseries",

@@ -1,8 +1,9 @@
 """Measurements on magnetization fields.
 
-Covers the spectral order parameters, growth-rate fits, the normalized
-two-point correlation map, and transverse spin-vortex detection.  All
-operations are pure functions of their inputs.
+Covers the spectral order parameters, growth-rate fits and transverse
+spin-vortex detection.  All operations are pure functions of their
+inputs.  A power spectrum is a plain array on the fft2 mode layout;
+the functions that read it take the grid for its |k| mesh.
 """
 
 import math
@@ -21,23 +22,6 @@ TWO_PI = 2.0 * math.pi
 # ---------------------------------------------------------------------------
 # Power spectrum and order parameters
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PowerSpectrum:
-    """|M(k)|^2 summed over vector components on the fft2 mode layout.
-
-    Normalized so that p.sum() equals the real-space sum of |M|^2 over
-    sites (Parseval).
-    """
-
-    kx: np.ndarray
-    kz: np.ndarray
-    p: np.ndarray
-
-    @property
-    def kmag(self) -> np.ndarray:
-        return np.hypot(self.kx[:, None], self.kz[None, :])
-
 
 @dataclass(frozen=True)
 class RegionSpec:
@@ -60,13 +44,17 @@ class RegionSpec:
                 f"k_hi {self.k_hi:.4f} exceeds the grid Nyquist {nyq:.4f}")
 
 
-def power_spectrum(m: MagnetizationField) -> PowerSpectrum:
+def power_spectrum(m: MagnetizationField) -> np.ndarray:
+    """|M(k)|^2 summed over vector components on the fft2 mode layout.
+
+    Normalized so that its sum equals the real-space sum of |M|^2 over
+    sites (Parseval).
+    """
     mk = np.fft.fft2(m.m, axes=(-2, -1))
-    p = (mk.real**2 + mk.imag**2).sum(axis=0) / (m.grid.nx * m.grid.nz)
-    return PowerSpectrum(kx=m.grid.kx.copy(), kz=m.grid.kz.copy(), p=p)
+    return (mk.real**2 + mk.imag**2).sum(axis=0) / (m.grid.nx * m.grid.nz)
 
 
-def order_parameters(ps: PowerSpectrum, regions: RegionSpec,
+def order_parameters(p: np.ndarray, grid: Grid2D, regions: RegionSpec,
                      background=0.0) -> tuple:
     """(long, short, total) spectral powers after background removal.
 
@@ -75,7 +63,7 @@ def order_parameters(ps: PowerSpectrum, regions: RegionSpec,
     spectral floor subtracted from every mode (clipped at zero), or
     "auto" to estimate it as the mean power at |k| > 2 k_hi.
     """
-    kmag = ps.kmag
+    kmag = grid.kmag
     if isinstance(background, str):
         if background != "auto":
             raise InvalidParameter(
@@ -84,21 +72,21 @@ def order_parameters(ps: PowerSpectrum, regions: RegionSpec,
         if not far.any():
             raise InvalidParameter(
                 "no modes beyond 2 k_hi to estimate the background from")
-        floor = float(ps.p[far].mean())
+        floor = float(p[far].mean())
     else:
         floor = float(background)
         if floor < 0:
             raise InvalidParameter(f"background must be >= 0, got {floor!r}")
-    q = np.clip(ps.p - floor, 0.0, None)
+    q = np.clip(p - floor, 0.0, None)
     long_p = float(q[kmag <= regions.k_cut].sum())
     short_p = float(q[(kmag >= regions.k_lo) & (kmag <= regions.k_hi)].sum())
     return long_p, short_p, float(q.sum())
 
 
-def dominant_wavevector(ps: PowerSpectrum, k_min: float) -> float:
+def dominant_wavevector(p: np.ndarray, grid: Grid2D, k_min: float) -> float:
     """|k| of the strongest mode outside the central disc |k| <= k_min."""
-    kmag = ps.kmag
-    masked = np.where(kmag > k_min, ps.p, -np.inf)
+    kmag = grid.kmag
+    masked = np.where(kmag > k_min, p, -np.inf)
     idx = np.unravel_index(int(np.argmax(masked)), masked.shape)
     return float(kmag[idx])
 
@@ -169,35 +157,6 @@ def growth_rate(series: OrderParamSeries, window: tuple = None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Correlation map
-# ---------------------------------------------------------------------------
-
-def correlation(m: MagnetizationField, eps: float = 1e-12) -> np.ndarray:
-    """Normalized magnetization correlation G on the displacement grid.
-
-    G(dr) = sum_r M(r+dr).M(r) / sum_r n(r+dr) n(r), both sums with
-    periodic wraparound, evaluated by FFT.  Index [i, j] is the
-    displacement (i dx, j dz) wrapped periodically (so index 0 is zero
-    displacement and negative displacements sit at the top indices).
-    Displacements whose density overlap is below eps times its maximum
-    are undefined and returned as NaN.
-    """
-    if not (m.n > 0).any():
-        raise InvalidParameter("density vanishes everywhere")
-    shape = m.grid.shape
-    num = np.zeros(shape)
-    for comp in m.m:
-        ck = np.fft.rfft2(comp)
-        num += np.fft.irfft2(ck * np.conj(ck), s=shape)
-    nk = np.fft.rfft2(m.n)
-    den = np.fft.irfft2(nk * np.conj(nk), s=shape)
-    good = den > eps * den.max()
-    out = np.full(shape, np.nan)
-    np.divide(num, den, out=out, where=good)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Transverse spin vortices
 # ---------------------------------------------------------------------------
 
@@ -206,19 +165,6 @@ class Vortex:
     x_um: float
     z_um: float
     charge: int
-
-
-@dataclass(frozen=True)
-class VortexSet:
-    vortices: tuple
-    threshold_frac: float
-
-    def __len__(self):
-        return len(self.vortices)
-
-    @property
-    def total_charge(self) -> int:
-        return sum(v.charge for v in self.vortices)
 
 
 def _wrap_angle(a: np.ndarray) -> np.ndarray:
@@ -266,8 +212,8 @@ def _circular_mean(coords: np.ndarray, period: float) -> float:
 
 
 def detect_vortices(m: MagnetizationField,
-                    threshold_frac: float = 0.15) -> VortexSet:
-    """Find transverse-magnetization phase windings on the grid.
+                    threshold_frac: float = 0.15) -> tuple:
+    """Vortices of the transverse magnetization, sorted by (z, x).
 
     The transverse phase theta = arg(M_x + i M_y) is summed with
     wraparound differences around every elementary plaquette; a
@@ -313,4 +259,4 @@ def detect_vortices(m: MagnetizationField,
                 cz -= g.lz
             vortices.append(Vortex(x_um=cx, z_um=cz, charge=sign))
     vortices.sort(key=lambda v: (v.z_um, v.x_um))
-    return VortexSet(vortices=tuple(vortices), threshold_frac=threshold_frac)
+    return tuple(vortices)

@@ -106,11 +106,9 @@ class DipolarCoupling:
                        q[2, 0] * sk[0] + q[2, 2] * sk[2]])
         return self.c_dd * np.fft.irfft2(bk, s=self.grid.shape, axes=(-2, -1))
 
-    def energy(self, s: np.ndarray, b: np.ndarray = None) -> float:
+    def energy(self, s: np.ndarray) -> float:
         """Total interaction energy in h*Hz, E = -(1/2) sum b.s dA."""
-        if b is None:
-            b = self.field_of(s)
-        return -0.5 * float((b * s).sum()) * self.grid.cell_area
+        return -0.5 * float((self.field_of(s) * s).sum()) * self.grid.cell_area
 
 
 def helix_column_energy(kappa: float, sigma_um: float, n0_um3: float) -> float:

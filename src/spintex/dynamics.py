@@ -18,6 +18,10 @@ sees the inputs one pass over the grid would, so the result does not
 depend on the block size, bit for bit.  The kinetic FFTs run one spin
 component at a time.
 
+Evolver(grid, dt_ms, *, q_hz, c0_2d, c2_2d, sigma_y_um, c_dd,
+kernel_mode, gradient_mg_cm, potential) takes its coefficients by
+keyword: c0_2d and c2_2d in h*Hz um^2, c_dd in h*Hz um^3.
+
 Units: energies in h*Hz, time in ms, lengths in um.  The local phases
 are converted with RADPMS_PER_HHZ once per application.
 """
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants as cn
-from .dipole import DipolarCoupling, normalize_mode
+from .dipole import DipolarCoupling
 from .errors import InvalidParameter, NumericalFailure
 from .field import (number_density, rotate_spinor, spin_density,
                     zeeman_like_apply)
@@ -39,49 +43,32 @@ from .grid import Grid2D
 _BLOCK_SITES = 4096
 
 
-@dataclass(frozen=True)
-class EvolutionSpec:
-    """Physics coefficients and numerical step for one evolution run."""
-
-    grid: Grid2D
-    dt_ms: float
-    q_hz: float                 # quadratic Zeeman, h*Hz
-    c0_2d: float                # density-density contact, h*Hz um^2
-    c2_2d: float                # spin-spin contact, h*Hz um^2
-    sigma_y_um: float
-    c_dd: float                 # h*Hz um^3
-    kernel_mode: str = "bare"
-    gradient_mg_cm: float = 0.0
-
-    def __post_init__(self):
-        if not (0.0 < self.dt_ms <= 0.2):
-            raise InvalidParameter(
-                f"dt_ms must be in (0, 0.2], got {self.dt_ms!r}")
-        if self.sigma_y_um <= 0:
-            raise InvalidParameter(
-                f"sigma_y_um must be positive, got {self.sigma_y_um!r}")
-        normalize_mode(self.kernel_mode)
-
-
 class Evolver:
-    """Advances a spinor field in fixed steps of spec.dt_ms."""
+    """Advances a spinor field in fixed steps of dt_ms."""
 
-    def __init__(self, spec: EvolutionSpec, potential: np.ndarray = None):
-        self.spec = spec
-        g = spec.grid
+    def __init__(self, grid: Grid2D, dt_ms: float, *, q_hz: float,
+                 c0_2d: float, c2_2d: float, sigma_y_um: float, c_dd: float,
+                 kernel_mode: str = "bare", gradient_mg_cm: float = 0.0,
+                 potential: np.ndarray = None):
+        if not (0.0 < dt_ms <= 0.2):
+            raise InvalidParameter(f"dt_ms must be in (0, 0.2], got {dt_ms!r}")
         if potential is None:
-            potential = np.zeros(g.shape)
-        if potential.shape != g.shape:
+            potential = np.zeros(grid.shape)
+        if potential.shape != grid.shape:
             raise InvalidParameter(
                 f"potential shape {potential.shape} does not match grid "
-                f"{g.shape}")
+                f"{grid.shape}")
+        self.grid = grid
+        self.dt_ms = dt_ms
+        self.q_hz = q_hz
+        self.c0_2d = c0_2d
+        self.c2_2d = c2_2d
         self.potential = potential
-        self.coupling = DipolarCoupling(g, spec.sigma_y_um,
-                                        spec.kernel_mode, spec.c_dd)
+        self.coupling = DipolarCoupling(grid, sigma_y_um, kernel_mode, c_dd)
         # linear Zeeman from a residual field gradient along z, h*Hz
-        slope = cn.LARMOR_HZ_PER_G * cn.MG_CM_TO_G_UM * spec.gradient_mg_cm
-        self.linear_z = slope * g.z[None, :]
-        self._kin_half = np.exp(-0.5j * cn.KIN_COEF * g.k2 * spec.dt_ms)
+        slope = cn.LARMOR_HZ_PER_G * cn.MG_CM_TO_G_UM * gradient_mg_cm
+        self.linear_z = slope * grid.z[None, :]
+        self._kin_half = np.exp(-0.5j * cn.KIN_COEF * grid.k2 * dt_ms)
         self._kin_full = self._kin_half * self._kin_half
         self._steps_taken = 0
 
@@ -117,20 +104,19 @@ class Evolver:
         Then comes the closing kinetic half step, merged with the next
         step's opening one (alone on the last step).
         """
-        spec = self.spec
-        theta = spec.dt_ms * cn.RADPMS_PER_HHZ
-        nx, nz = spec.grid.shape
+        theta = self.dt_ms * cn.RADPMS_PER_HHZ
+        nx, nz = self.grid.shape
         rows = max(1, _BLOCK_SITES // nz)
         blocks = [slice(i, i + rows) for i in range(0, nx, rows)]
         s = np.empty((3, nx, nz))
         n = np.empty((nx, nz))
 
-        c2 = spec.c2_2d
+        c2 = self.c2_2d
 
         def local(r, b, th):
             # local step of psi's rows r with the coefficients of (s, n, b)
-            u = self.potential[r] + spec.c0_2d * n[r]
-            return zeeman_like_apply(psi[:, r], th, u, spec.q_hz,
+            u = self.potential[r] + self.c0_2d * n[r]
+            return zeeman_like_apply(psi[:, r], th, u, self.q_hz,
                                      c2 * s[0, r] - b[0, r],
                                      c2 * s[1, r] - b[1, r],
                                      c2 * s[2, r] - b[2, r] + self.linear_z)
@@ -153,18 +139,18 @@ class Evolver:
             _, ix, iz = np.argwhere(~np.isfinite(out))[0]
             raise NumericalFailure(
                 f"non-finite amplitudes in step {self._steps_taken} "
-                f"(t = {self._steps_taken * spec.dt_ms:.12g} ms), "
+                f"(t = {self._steps_taken * self.dt_ms:.12g} ms), "
                 f"first at site (ix, iz) = ({ix}, {iz})")
         return self._kinetic(out, self._kin_half if last else self._kin_full)
 
     # -- diagnostics ---------------------------------------------------
 
     def norm(self, psi: np.ndarray) -> float:
-        return float(number_density(psi).sum()) * self.spec.grid.cell_area
+        return float(number_density(psi).sum()) * self.grid.cell_area
 
     def energy_budget(self, psi: np.ndarray) -> dict:
         """Energy components in h*Hz; their sum is conserved by the flow."""
-        g = self.spec.grid
+        g = self.grid
         da = g.cell_area
         pk = np.fft.fft2(psi, axes=(-2, -1))
         dens_k = (pk.real**2 + pk.imag**2).sum(axis=0)
@@ -173,11 +159,11 @@ class Evolver:
         n = number_density(psi)
         s = spin_density(psi)
         e_pot = float((self.potential * n).sum()) * da
-        e_c0 = 0.5 * self.spec.c0_2d * float((n * n).sum()) * da
-        e_c2 = 0.5 * self.spec.c2_2d * float((s * s).sum()) * da
+        e_c0 = 0.5 * self.c0_2d * float((n * n).sum()) * da
+        e_c2 = 0.5 * self.c2_2d * float((s * s).sum()) * da
         n_pm = (psi[0].real**2 + psi[0].imag**2
                 + psi[2].real**2 + psi[2].imag**2)
-        e_zee = self.spec.q_hz * float(n_pm.sum()) * da \
+        e_zee = self.q_hz * float(n_pm.sum()) * da \
             + float((self.linear_z * s[2]).sum()) * da
         e_dd = self.coupling.energy(s)
         total = e_kin + e_pot + e_c0 + e_c2 + e_zee + e_dd
@@ -262,10 +248,11 @@ def evolve(psi: np.ndarray, evolver: Evolver, n_steps: int,
            observe_every: int = 0) -> np.ndarray:
     """Take n_steps steps of the stepper, firing pulses and the observer.
 
-    Scheduled pulses are applied at the first step boundary at or after
-    their event time, before the observer sees that boundary.  The
-    observer is called as observer(n, psi) after step n for n = 0,
-    every observe_every steps (0: none in between), and n = n_steps.
+    A pulse at time_ms fires at boundary n, the first n >= 1 with
+    time_ms <= n*dt + 1e-9 (so a pulse at t = 0 fires after step 1),
+    before the observer sees that boundary.  The observer is called as
+    observer(n, psi) after step n for n = 0, every observe_every steps
+    (0: none in between), and n = n_steps.
     Between these boundaries the evolver advances without stopping.
     Returns the final field.
     """
@@ -273,7 +260,7 @@ def evolve(psi: np.ndarray, evolver: Evolver, n_steps: int,
         raise InvalidParameter(
             f"step counts must be >= 0, got n_steps = {n_steps!r}, "
             f"observe_every = {observe_every!r}")
-    dt = evolver.spec.dt_ms
+    dt = evolver.dt_ms
     pulses, n = {}, 1
     for ev in (schedule.events if schedule is not None else ()):
         while ev.time_ms > n * dt + 1e-9:     # first boundary at or after

@@ -6,6 +6,8 @@ basis.  Spin rotations exp(-i theta v.F) have a closed form for spin-1.
 by site as two tridiagonal products, between a scalar phase and two
 quadratic-Zeeman half phases; ``rotate_spinor`` (rf pulses) builds the
 3x3 matrix of one global rotation from the same closed form.
+``prepare_initial`` returns the polarized field and its trap potential;
+RunConfig.validate runs the fit check of ``thomas_fermi_density``.
 """
 
 import math
@@ -163,13 +165,6 @@ def zeeman_like_apply(psi, dt, u, q, vx, vy, vz):
 # Initial states
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InitialState:
-    psi: np.ndarray          # [3, nx, nz], m = -1 column occupied
-    potential: np.ndarray    # [nx, nz], h*Hz
-    atom_number: float
-
-
 def _box_envelope(grid: Grid2D, fill: float) -> np.ndarray:
     """Flat-top envelope covering `fill` of each period, smooth edges.
 
@@ -215,13 +210,13 @@ def thomas_fermi_density(grid: Grid2D, vx: float, vz: float, c0_2d: float,
 
 def prepare_initial(grid: Grid2D, profile: str, atom_number: float,
                     c0_2d: float, vx: float = 0.0, vz: float = 0.0,
-                    box_fill: float = 0.9) -> InitialState:
-    """Longitudinally polarized (m = -1) cloud with the chosen density profile.
+                    box_fill: float = 0.9) -> tuple:
+    """(psi, potential): a longitudinally polarized (m = -1) cloud.
 
     `profile` is "uniform" (flat-top box, exactly periodic when
     box_fill >= 1) or "thomas-fermi" (harmonic-trap ground-state shape;
-    requires vx, vz > 0).  The returned potential is the matching
-    external trap in h*Hz (zero for uniform).
+    requires vx, vz > 0).  The potential is the matching external trap
+    in h*Hz (zero for uniform).
     """
     if atom_number <= 0:
         raise InvalidParameter(f"atom_number must be positive, "
@@ -240,7 +235,7 @@ def prepare_initial(grid: Grid2D, profile: str, atom_number: float,
         raise InvalidParameter(f"unknown density profile {profile!r}")
     psi = np.zeros((3,) + grid.shape, dtype=complex)
     psi[2] = np.sqrt(dens)
-    return InitialState(psi=psi, potential=pot, atom_number=atom_number)
+    return psi, pot
 
 
 def add_noise(psi: np.ndarray, amplitude: float,

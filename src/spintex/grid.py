@@ -84,6 +84,11 @@ class Grid2D:
         """|k|^2 on the full fft2 layout, rad^2/um^2."""
         return self.kx[:, None] ** 2 + self.kz[None, :] ** 2
 
+    @cached_property
+    def kmag(self) -> np.ndarray:
+        """|k| on the full fft2 layout, rad/um (hypot, not sqrt(k2))."""
+        return np.hypot(self.kx[:, None], self.kz[None, :])
+
     @property
     def k_nyquist_x(self) -> float:
         return math.pi / self.dx

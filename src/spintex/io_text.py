@@ -20,8 +20,9 @@ from . import __version__
 from .analysis import SERIES_COLUMNS, OrderParamSeries, RegionSpec
 from .dipole import normalize_mode
 from .errors import InvalidParameter
-from .field import number_density, spin_density
+from .field import number_density, spin_density, thomas_fermi_density
 from .grid import Grid2D
+from .params import derive_params, trap_curvatures_hhz_um2
 
 POTENTIALS = ("none", "harmonic")
 PROFILES = ("uniform", "thomas-fermi")
@@ -157,6 +158,15 @@ class RunConfig:
         if self.profile == "uniform" and self.potential != "none":
             raise InvalidParameter(
                 "uniform profile requires potential = none")
+        if self.profile == "thomas-fermi":
+            vx, vz = trap_curvatures_hhz_um2(self)
+            try:
+                thomas_fermi_density(grid, vx, vz, derive_params(self).c0_2d,
+                                     self.atom_number)
+            except InvalidParameter as exc:
+                raise InvalidParameter(
+                    f"atom_number, trap_x_hz, trap_z_hz, lx_um and lz_um "
+                    f"give no Thomas-Fermi cloud that fits: {exc}") from None
         if not (0.0 < self.box_fill <= 1.0):
             raise InvalidParameter(
                 f"box_fill must lie in (0, 1], got {self.box_fill!r}")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .analysis import (OrderParamSeries, detect_vortices, growth_rate,
                        order_parameters, power_spectrum)
-from .dynamics import Evolver, EvolutionSpec, evolve, make_cancellation_schedule
+from .dynamics import Evolver, evolve, make_cancellation_schedule
 from .errors import InvalidParameter
 from .field import (add_noise, imprint_helix, magnetization, prepare_initial,
                     rotate_spinor)
@@ -47,25 +47,26 @@ def _streams(seed: int) -> tuple:
 
 
 def build_evolver(cfg: RunConfig) -> tuple:
-    """(evolver, initial state) for a validated config."""
+    """(evolver, polarized m = -1 field) for a validated config."""
     derived = derive_params(cfg)
     grid = cfg.grid()
     vx, vz = trap_curvatures_hhz_um2(cfg)
-    state = prepare_initial(grid, cfg.profile, cfg.atom_number,
-                            derived.c0_2d, vx=vx, vz=vz,
-                            box_fill=cfg.box_fill)
-    spec = EvolutionSpec(grid=grid, dt_ms=cfg.dt_ms, q_hz=derived.q_hz,
-                         c0_2d=derived.c0_2d, c2_2d=derived.c2_2d,
-                         sigma_y_um=cfg.sigma_y_um, c_dd=derived.c_dd,
-                         kernel_mode=cfg.kernel_mode,
-                         gradient_mg_cm=cfg.residual_gradient_mg_cm)
-    return Evolver(spec, potential=state.potential), state
+    psi, potential = prepare_initial(grid, cfg.profile, cfg.atom_number,
+                                     derived.c0_2d, vx=vx, vz=vz,
+                                     box_fill=cfg.box_fill)
+    evolver = Evolver(grid, cfg.dt_ms, q_hz=derived.q_hz,
+                      c0_2d=derived.c0_2d, c2_2d=derived.c2_2d,
+                      sigma_y_um=cfg.sigma_y_um, c_dd=derived.c_dd,
+                      kernel_mode=cfg.kernel_mode,
+                      gradient_mg_cm=cfg.residual_gradient_mg_cm,
+                      potential=potential)
+    return evolver, psi
 
 
 def initial_field(cfg: RunConfig, noise_rng: np.random.Generator,
-                  state) -> np.ndarray:
-    """Protocol before free evolution: pi/2 tip, helix winding, noise."""
-    psi = rotate_spinor(state.psi, (0.0, 1.0, 0.0), -0.5 * math.pi)
+                  psi: np.ndarray) -> np.ndarray:
+    """pi/2 tip, helix winding and noise on build_evolver's polarized psi."""
+    psi = rotate_spinor(psi, (0.0, 1.0, 0.0), -0.5 * math.pi)
     if cfg.helix_pitch_um > 0:
         psi = imprint_helix(psi, cfg.grid(),
                             2.0 * math.pi / cfg.helix_pitch_um)
@@ -76,9 +77,10 @@ def initial_field(cfg: RunConfig, noise_rng: np.random.Generator,
 
 def _measure_row(t_ms: float, psi: np.ndarray, evolver: Evolver,
                  regions, background) -> dict:
-    m = magnetization(psi, evolver.spec.grid)
-    ps = power_spectrum(m)
-    long_p, short_p, total_p = order_parameters(ps, regions, background)
+    m = magnetization(psi, evolver.grid)
+    long_p, short_p, total_p = order_parameters(power_spectrum(m),
+                                                evolver.grid, regions,
+                                                background)
     row = {"t_ms": t_ms, "long_order": long_p, "short_order": short_p,
            "total_power": total_p,
            "n_vortices": float(len(detect_vortices(m)))}
@@ -112,8 +114,8 @@ def run_simulate(cfg: RunConfig) -> RunResult:
     write_meta(run_dir, cfg)
 
     noise_rng, sched_rng = _streams(cfg.rng_seed)
-    evolver, state = build_evolver(cfg)
-    psi = initial_field(cfg, noise_rng, state)
+    evolver, psi = build_evolver(cfg)
+    psi = initial_field(cfg, noise_rng, psi)
 
     schedule = None
     if cfg.cancel_pulse_rate_khz > 0:
@@ -132,7 +134,7 @@ def run_simulate(cfg: RunConfig) -> RunResult:
         rows.append(row)
         if n in (0, n_steps) or (write_every and n % write_every == 0):
             write_snapshot(os.path.join(run_dir, snapshot_name(t_ms)),
-                           field, evolver.spec.grid, t_ms, digest)
+                           field, evolver.grid, t_ms, digest)
         log.info("t = %8.2f ms   short/total = %.4f   vortices = %d", t_ms,
                  row["short_order"] / max(row["total_power"], 1e-30),
                  row["n_vortices"])
@@ -177,7 +179,7 @@ def analyze_run(run_dir: str) -> OrderParamSeries:
                 raise InvalidParameter(
                     f"{name}: written under config {header.get('config')}, "
                     f"but meta is config {digest}")
-            if grid.shape != evolver.spec.grid.shape:
+            if grid.shape != evolver.grid.shape:
                 raise InvalidParameter(
                     f"{name}: grid {grid.shape} does not match config")
             snaps.append((header["time_ms"], psi))

@@ -17,7 +17,7 @@ from scipy import linalg
 from . import constants as cn
 from . import oracles
 from .dipole import helix_column_energy, interaction_kernel, planar_tensor
-from .dynamics import Evolver, EvolutionSpec, evolve
+from .dynamics import Evolver, evolve
 from .field import rotate_spinor, spin_matrices, zeeman_like_apply
 from .grid import Grid2D
 from .io_text import RunConfig
@@ -111,17 +111,16 @@ def check_single_site() -> CheckResult:
     grid = Grid2D(nx=8, nz=8, lx=4.0, lz=4.0)
     derived = derive_params(RunConfig())
     nbar = derived.n2d_peak
-    spec = EvolutionSpec(grid=grid, dt_ms=1e-3, q_hz=derived.q_hz,
-                         c0_2d=derived.c0_2d, c2_2d=derived.c2_2d,
-                         sigma_y_um=SIGMA_Y, c_dd=derived.c_dd,
-                         kernel_mode="bare")
-    evolver = Evolver(spec)
+    dt = 1e-3
+    evolver = Evolver(grid, dt, q_hz=derived.q_hz, c0_2d=derived.c0_2d,
+                      c2_2d=derived.c2_2d, sigma_y_um=SIGMA_Y,
+                      c_dd=derived.c_dd, kernel_mode="bare")
     psi_site = rotate_spinor(np.array([0.0, 0.0, 1.0], dtype=complex),
                              (0.0, 1.0, 0.0), -math.pi / 3.0)
     psi = np.tile(psi_site[:, None, None] * math.sqrt(nbar),
                   (1, grid.nx, grid.nz)).astype(complex)
     t_final = 5.0
-    psi = evolve(psi, evolver, int(round(t_final / spec.dt_ms)))
+    psi = evolve(psi, evolver, int(round(t_final / dt)))
 
     # interaction kernel at k = 0 (minus the planar tensor's diagonal)
     q0 = np.diag([2.0 / 3.0, -4.0 / 3.0, 2.0 / 3.0]) \

@@ -1,4 +1,4 @@
-"""Tests for spectral order parameters, growth fits, correlation, vortices."""
+"""Tests for spectral order parameters, growth fits and vortices."""
 
 import math
 
@@ -9,9 +9,7 @@ from spintex.analysis import (
     ENERGY_KEYS,
     SERIES_COLUMNS,
     OrderParamSeries,
-    PowerSpectrum,
     RegionSpec,
-    correlation,
     detect_vortices,
     dominant_wavevector,
     growth_rate,
@@ -50,25 +48,25 @@ def test_power_spectrum_parseval():
     rng = np.random.default_rng(7)
     m = rng.standard_normal((3,) + g.shape)
     n = np.abs(rng.standard_normal(g.shape)) + 0.1
-    ps = power_spectrum(MagnetizationField(grid=g, m=m, n=n))
-    assert ps.p.shape == g.shape
-    assert np.all(ps.p >= 0)
+    p = power_spectrum(MagnetizationField(grid=g, m=m, n=n))
+    assert p.shape == g.shape
+    assert np.all(p >= 0)
     # total spectral power equals the real-space sum of |M|^2 over sites
-    assert abs(ps.p.sum() - (m**2).sum()) < 1e-9 * (m**2).sum()
-    assert ps.kmag.shape == g.shape
-    assert ps.kmag[0, 0] == 0.0
+    assert abs(p.sum() - (m**2).sum()) < 1e-9 * (m**2).sum()
+    assert g.kmag.shape == g.shape
+    assert g.kmag[0, 0] == 0.0
 
 
 def test_helix_power_concentrates_on_one_mode():
     g = Grid2D(nx=16, nz=64, lx=8.0, lz=32.0)
     dens = 2.5
     m = magnetization(helix_field(g, dens, pitch=8.0), g)
-    ps = power_spectrum(m)
+    p = power_spectrum(m)
     total = dens**2 * g.nx * g.nz
     # all power in the two conjugate modes at kz = +-2 pi / 8
     j = int(round(g.lz / 8.0))
-    peak = ps.p[0, j] + ps.p[0, -j]
-    assert abs(ps.p.sum() - total) < 1e-9 * total
+    peak = p[0, j] + p[0, -j]
+    assert abs(p.sum() - total) < 1e-9 * total
     assert abs(peak - total) < 1e-9 * total
 
 
@@ -102,14 +100,14 @@ def test_order_parameters_helix_placement():
 
     # pitch 32: kappa = 0.196 below k_cut, all power long-range
     m_long = magnetization(helix_field(g, dens, pitch=32.0), g)
-    lo, sh, tot = order_parameters(power_spectrum(m_long), regions)
+    lo, sh, tot = order_parameters(power_spectrum(m_long), g, regions)
     assert abs(lo - total) < 1e-9 * total
     assert sh < 1e-9 * total
     assert abs(tot - total) < 1e-9 * total
 
     # pitch 8: kappa = 0.785 inside the short annulus
     m_short = magnetization(helix_field(g, dens, pitch=8.0), g)
-    lo, sh, tot = order_parameters(power_spectrum(m_short), regions)
+    lo, sh, tot = order_parameters(power_spectrum(m_short), g, regions)
     assert lo < 1e-9 * total
     assert abs(sh - total) < 1e-9 * total
     assert abs(tot - total) < 1e-9 * total
@@ -119,19 +117,18 @@ def test_order_parameters_background_subtraction():
     g = Grid2D(nx=64, nz=64, lx=32.0, lz=32.0)
     regions = RegionSpec()
     m = magnetization(helix_field(g, 2.0, pitch=8.0), g)
-    ps = power_spectrum(m)
-    ref = order_parameters(ps, regions)
+    p = power_spectrum(m)
+    ref = order_parameters(p, g, regions)
 
     floor = 0.37
-    lifted = PowerSpectrum(kx=ps.kx, kz=ps.kz, p=ps.p + floor)
-    got = order_parameters(lifted, regions, background=floor)
+    got = order_parameters(p + floor, g, regions, background=floor)
     for a, b in zip(got, ref):
         assert abs(a - b) < 1e-9 * max(1.0, abs(b))
 
     with pytest.raises(InvalidParameter):
-        order_parameters(ps, regions, background=-0.1)
+        order_parameters(p, g, regions, background=-0.1)
     with pytest.raises(InvalidParameter):
-        order_parameters(ps, regions, background="median")
+        order_parameters(p, g, regions, background="median")
 
 
 def test_order_parameters_auto_background():
@@ -141,8 +138,7 @@ def test_order_parameters_auto_background():
     p = np.full(g.shape, floor)
     kz_spike = int(round(g.lz / 8.0))     # |k| inside the annulus
     p[0, kz_spike] += 123.0
-    ps = PowerSpectrum(kx=g.kx.copy(), kz=g.kz.copy(), p=p)
-    lo, sh, tot = order_parameters(ps, regions, background="auto")
+    lo, sh, tot = order_parameters(p, g, regions, background="auto")
     assert abs(lo) < 1e-9
     assert abs(sh - 123.0) < 1e-9
     assert abs(tot - 123.0) < 1e-9
@@ -151,10 +147,9 @@ def test_order_parameters_auto_background():
 def test_auto_background_needs_far_modes():
     # every mode of this coarse grid sits within 2 k_hi of the origin
     g = Grid2D(nx=8, nz=8, lx=8.0, lz=8.0)
-    ps = PowerSpectrum(kx=g.kx.copy(), kz=g.kz.copy(), p=np.ones(g.shape))
     regions = RegionSpec(k_cut=0.3, k_lo=0.5, k_hi=2.3)
     with pytest.raises(InvalidParameter):
-        order_parameters(ps, regions, background="auto")
+        order_parameters(np.ones(g.shape), g, regions, background="auto")
 
 
 def test_dominant_wavevector_ignores_central_disc():
@@ -163,8 +158,7 @@ def test_dominant_wavevector_ignores_central_disc():
     p = np.zeros(g.shape)
     p[0, 1] = 100.0                      # |k| = dk, inside the disc
     p[3, 4] = 5.0                        # |k| = 5 dk
-    ps = PowerSpectrum(kx=g.kx.copy(), kz=g.kz.copy(), p=p)
-    got = dominant_wavevector(ps, k_min=0.25)
+    got = dominant_wavevector(p, g, k_min=0.25)
     assert abs(got - 5.0 * dk) < 1e-12
 
 
@@ -241,56 +235,6 @@ def test_growth_rate_errors():
 
 
 # ---------------------------------------------------------------------------
-# Correlation map
-# ---------------------------------------------------------------------------
-
-def test_correlation_fully_magnetized_is_one():
-    g = Grid2D(nx=16, nz=32, lx=8.0, lz=16.0)
-    m = magnetization(uniform_transverse_field(g, 3.0), g)
-    corr = correlation(m)
-    assert corr.shape == g.shape
-    assert np.nanmax(np.abs(corr - 1.0)) < 1e-9
-    assert not np.isnan(corr).any()
-
-
-def test_correlation_of_helix_is_cosine():
-    g = Grid2D(nx=16, nz=64, lx=8.0, lz=32.0)
-    pitch = 8.0
-    m = magnetization(helix_field(g, 2.0, pitch), g)
-    corr = correlation(m)
-    expected = np.cos(TWO_PI / pitch * g.dz * np.arange(g.nz))
-    assert np.max(np.abs(corr - expected[None, :])) < 1e-9
-
-
-def test_correlation_masks_empty_overlap():
-    g = Grid2D(nx=8, nz=8, lx=8.0, lz=8.0)
-    n = np.zeros(g.shape)
-    m = np.zeros((3,) + g.shape)
-    n[2, 3] = 4.0
-    m[0, 2, 3] = 4.0
-    corr = correlation(MagnetizationField(grid=g, m=m, n=n))
-    assert abs(corr[0, 0] - 1.0) < 1e-12
-    mask = np.isnan(corr)
-    assert not mask[0, 0]
-    assert mask.sum() == g.nx * g.nz - 1
-
-
-def test_correlation_zero_magnetization():
-    g = Grid2D(nx=8, nz=8, lx=8.0, lz=8.0)
-    f = MagnetizationField(grid=g, m=np.zeros((3,) + g.shape),
-                           n=np.ones(g.shape))
-    assert np.max(np.abs(correlation(f))) < 1e-12
-
-
-def test_correlation_requires_density():
-    g = Grid2D(nx=8, nz=8, lx=8.0, lz=8.0)
-    f = MagnetizationField(grid=g, m=np.zeros((3,) + g.shape),
-                           n=np.zeros(g.shape))
-    with pytest.raises(InvalidParameter):
-        correlation(f)
-
-
-# ---------------------------------------------------------------------------
 # Vortex detection
 # ---------------------------------------------------------------------------
 
@@ -316,8 +260,8 @@ def test_vortex_pair_recovered_exactly():
     for thr in (0.05, 0.15, 0.3, 0.5):
         vs = detect_vortices(f, threshold_frac=thr)
         assert len(vs) == 2
-        assert vs.total_charge == 0
-        by_charge = {v.charge: v for v in vs.vortices}
+        assert sum(v.charge for v in vs) == 0
+        by_charge = {v.charge: v for v in vs}
         assert abs(by_charge[+1].x_um - plus[0]) < 1e-9
         assert abs(by_charge[+1].z_um - plus[1]) < 1e-9
         assert abs(by_charge[-1].x_um - minus[0]) < 1e-9
@@ -339,8 +283,8 @@ def test_adjacent_same_charge_plaquettes_merge():
     vs = detect_vortices(f)
     # the tight same-charge pair reads as one vortex at the mean center
     assert len(vs) == 3
-    assert vs.total_charge == -1
-    merged = [v for v in vs.vortices if v.charge == +1]
+    assert sum(v.charge for v in vs) == -1
+    merged = [v for v in vs if v.charge == +1]
     assert len(merged) == 1
     assert abs(merged[0].x_um - xp) < 1e-9
     assert abs(merged[0].z_um - (g.z[10] + 0.5)) < 1e-9
@@ -357,13 +301,13 @@ def test_seam_straddling_cluster_merges():
                                 n=np.roll(f.n, -11, axis=1))
     vs = detect_vortices(rolled)
     assert len(vs) == 3
-    assert vs.total_charge == -1
-    merged = [v for v in vs.vortices if v.charge == +1]
+    assert sum(v.charge for v in vs) == -1
+    merged = [v for v in vs if v.charge == +1]
     assert len(merged) == 1
     assert abs(merged[0].x_um - xp) < 1e-9
     # circular mean of the two seam plaquettes lands on the boundary
     assert abs(abs(merged[0].z_um) - g.lz / 2.0) < 1e-9
-    minus = sorted((v.x_um, v.z_um) for v in vs.vortices if v.charge == -1)
+    minus = sorted((v.x_um, v.z_um) for v in vs if v.charge == -1)
     expect = sorted([(g.x[24] + 0.25, g.z[4] + 0.25 - 5.5 + 16.0),
                      (g.x[4] + 0.25, g.z[24] + 0.25 - 5.5)])
     for got, want in zip(minus, expect):
@@ -380,10 +324,10 @@ def test_vortex_threshold_masks_weak_regions():
     f = winding_field(g, [plus + (+1,), minus + (-1,)], amp=amp)
     vs = detect_vortices(f, threshold_frac=0.15)
     assert len(vs) == 1
-    assert vs.vortices[0].charge == -1
+    assert vs[0].charge == -1
     vs = detect_vortices(f, threshold_frac=0.005)
     assert len(vs) == 2
-    assert vs.total_charge == 0
+    assert sum(v.charge for v in vs) == 0
 
 
 def test_vortices_covariant_under_spin_rotation():
@@ -397,7 +341,7 @@ def test_vortices_covariant_under_spin_rotation():
     frot = MagnetizationField(grid=g, m=mrot, n=f.n.copy())
     a, b = detect_vortices(f), detect_vortices(frot)
     assert len(a) == len(b)
-    for va, vb in zip(a.vortices, b.vortices):
+    for va, vb in zip(a, b):
         assert va.charge == vb.charge
         assert abs(va.x_um - vb.x_um) < 1e-9
         assert abs(va.z_um - vb.z_um) < 1e-9

@@ -137,6 +137,14 @@ def test_constants_rejects_equal_scattering_lengths(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_constants_rejects_a_cloud_wider_than_the_box(tmp_path, capsys):
+    path = tmp_path / "cfg"
+    path.write_text("trap_x_hz = 3\nnx = 16\nnz = 64\nk_cut_rad_um = 0.1\n"
+                    "k_lo_rad_um = 0.2\nk_hi_rad_um = 0.4\n")
+    assert main(["constants", "--config", str(path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -6,8 +6,7 @@ from scipy import stats
 
 from spintex import constants as cn
 from spintex import dynamics, oracles
-from spintex.dynamics import (Evolver, EvolutionSpec, PulseEvent,
-                              PulseSchedule, evolve,
+from spintex.dynamics import (Evolver, PulseEvent, PulseSchedule, evolve,
                               make_cancellation_schedule)
 from spintex.errors import InvalidParameter, NumericalFailure
 from spintex.field import (add_noise, imprint_helix, number_density,
@@ -23,10 +22,9 @@ NBAR = D.n2d_peak
 
 def make_evolver(grid, dt=0.05, q=D.q_hz, c0=D.c0_2d, c2=D.c2_2d,
                  mode="bare", gradient=0.0, potential=None):
-    spec = EvolutionSpec(grid=grid, dt_ms=dt, q_hz=q, c0_2d=c0, c2_2d=c2,
-                         sigma_y_um=SIGMA_Y, c_dd=cn.CDD_HHZ_UM3,
-                         kernel_mode=mode, gradient_mg_cm=gradient)
-    return Evolver(spec, potential=potential)
+    return Evolver(grid, dt, q_hz=q, c0_2d=c0, c2_2d=c2, sigma_y_um=SIGMA_Y,
+                   c_dd=cn.CDD_HHZ_UM3, kernel_mode=mode,
+                   gradient_mg_cm=gradient, potential=potential)
 
 
 def uniform_transverse(grid, nbar=NBAR):
@@ -40,9 +38,13 @@ def test_spec_validation():
     for dt in (0.0, -0.1, 0.25):
         with pytest.raises(InvalidParameter):
             make_evolver(g, dt=dt)
-    with pytest.raises(InvalidParameter):
-        EvolutionSpec(grid=g, dt_ms=0.05, q_hz=0.0, c0_2d=0.0, c2_2d=0.0,
-                      sigma_y_um=0.0, c_dd=1.0)
+    for sigma in (0.0, -1.0):
+        with pytest.raises(InvalidParameter):
+            Evolver(g, 0.05, q_hz=0.0, c0_2d=0.0, c2_2d=0.0,
+                    sigma_y_um=sigma, c_dd=1.0, kernel_mode="bare")
+    # with the coupling off, sigma_y_um is unused
+    Evolver(g, 0.05, q_hz=0.0, c0_2d=0.0, c2_2d=0.0, sigma_y_um=0.0,
+            c_dd=1.0, kernel_mode="off")
     with pytest.raises(InvalidParameter):
         make_evolver(g, mode="secular")
     with pytest.raises(InvalidParameter):
@@ -329,9 +331,7 @@ def test_pulses_land_on_the_first_boundary_at_or_after_them(monkeypatch):
     dt = 0.05
 
     class Counter:
-        spec = EvolutionSpec(grid=Grid2D(nx=8, nz=8, lx=4.0, lz=4.0),
-                             dt_ms=dt, q_hz=0.0, c0_2d=0.0, c2_2d=0.0,
-                             sigma_y_um=SIGMA_Y, c_dd=0.0)
+        dt_ms = dt
         done = 0
 
         def advance(self, psi, n):
@@ -472,7 +472,7 @@ def test_evolve_applies_pulse_at_next_boundary():
     polar = {}
 
     def watch(n, p):
-        polar[round(n * ev.spec.dt_ms, 2)] = spin_density(p)[2].mean() / NBAR
+        polar[round(n * ev.dt_ms, 2)] = spin_density(p)[2].mean() / NBAR
 
     evolve(psi, ev, 6, schedule=sched, observer=watch, observe_every=1)
     assert abs(polar[0.10]) < 1e-12            # before the pulse

@@ -5,11 +5,11 @@ import pytest
 from scipy import linalg
 
 from spintex.errors import GridMismatch, InvalidParameter
-from spintex.field import (InitialState, MagnetizationField, add_noise,
-                           imprint_helix, magnetization,
-                           number_density, prepare_initial, rotate_spinor,
-                           spin_density, spin_matrices, thomas_fermi_density,
-                           transverse_state, zeeman_like_apply)
+from spintex.field import (MagnetizationField, add_noise, imprint_helix,
+                           magnetization, number_density, prepare_initial,
+                           rotate_spinor, spin_density, spin_matrices,
+                           thomas_fermi_density, transverse_state,
+                           zeeman_like_apply)
 from spintex.grid import Grid2D
 
 def test_spin_matrices_algebra():
@@ -201,23 +201,23 @@ def test_thomas_fermi_containment_error():
 
 def test_prepare_initial_uniform():
     g = Grid2D(nx=16, nz=32, lx=8.0, lz=16.0)
-    state = prepare_initial(g, "uniform", 640.0, 2.0, box_fill=1.0)
-    assert isinstance(state, InitialState)
-    n = number_density(state.psi)
+    psi, potential = prepare_initial(g, "uniform", 640.0, 2.0, box_fill=1.0)
+    n = number_density(psi)
     assert np.allclose(n, 5.0)                    # 640 / 128 um^2
     # all atoms in m = -1
-    assert np.abs(state.psi[0]).max() == 0.0
-    assert np.abs(state.psi[1]).max() == 0.0
-    assert np.all(state.potential == 0.0)
+    assert np.abs(psi[0]).max() == 0.0
+    assert np.abs(psi[1]).max() == 0.0
+    assert np.all(potential == 0.0)
 
 
 def test_prepare_initial_trap():
     g = Grid2D(nx=64, nz=64, lx=40.0, lz=40.0)
-    state = prepare_initial(g, "thomas-fermi", 1000.0, 2.0, vx=1.0, vz=4.0)
-    assert number_density(state.psi).sum() * g.cell_area \
+    psi, potential = prepare_initial(g, "thomas-fermi", 1000.0, 2.0,
+                                     vx=1.0, vz=4.0)
+    assert number_density(psi).sum() * g.cell_area \
         == pytest.approx(1000.0, rel=1e-12)
-    assert state.potential[32, 32] == pytest.approx(0.0)
-    assert state.potential[0, 32] == pytest.approx(400.0)   # vx lx^2/4
+    assert potential[32, 32] == pytest.approx(0.0)
+    assert potential[0, 32] == pytest.approx(400.0)   # vx lx^2/4
     with pytest.raises(InvalidParameter):
         prepare_initial(g, "gaussian", 1000.0, 2.0)
 

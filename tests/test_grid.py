@@ -38,6 +38,14 @@ def test_wavenumbers():
     assert g.k2[1, 2] == pytest.approx(g.kx[1] ** 2 + g.kz[2] ** 2)
 
 
+def test_kmag_is_hypot_and_cached():
+    # hypot, not sqrt(k2): the two can differ in the last bit, which
+    # moves a mode across a spectral region's edge
+    g = Grid2D(nx=16, nz=32, lx=8.0, lz=12.0)
+    assert np.array_equal(g.kmag, np.hypot(g.kx[:, None], g.kz[None, :]))
+    assert g.kmag is g.kmag
+
+
 def test_validation():
     with pytest.raises(InvalidParameter):
         Grid2D(nx=24, nz=16, lx=8.0, lz=8.0)   # not a power of two

@@ -105,6 +105,19 @@ def test_profile_potential_pairing():
     assert cfg.profile == "uniform"
 
 
+def test_unbuildable_thomas_fermi_cloud_is_rejected():
+    # a 3 Hz x trap spreads the cloud wider than the box; with no x trap
+    # there is no Thomas-Fermi cloud at all
+    narrow = RunConfig(trap_x_hz=3.0, nx=16, nz=64, k_cut_rad_um=0.1,
+                       k_lo_rad_um=0.2, k_hi_rad_um=0.4)
+    with pytest.raises(InvalidParameter, match="trap_x_hz.*cloud radii"):
+        narrow.validate()
+    with pytest.raises(InvalidParameter, match="atom_number.*lz_um"):
+        RunConfig(trap_x_hz=0.0).validate()
+    narrow.trap_x_hz = 39.0
+    narrow.validate()
+
+
 def test_steps_counts_whole_time_steps():
     cfg = parse_config("dt_ms = 0.05")
     assert cfg.steps(0.0) == 0
@@ -177,7 +190,8 @@ def test_config_hash_tracks_content():
 
 def test_load_config(tmp_path):
     path = tmp_path / "cfg"
-    path.write_text("nx = 64\nnz = 64\nlx_um = 32\nlz_um = 32\n")
+    path.write_text("nx = 64\nnz = 64\nlx_um = 32\nlz_um = 32\n"
+                    "profile = uniform\npotential = none\n")
     cfg = load_config(str(path))
     assert cfg.nx == 64
 

@@ -60,8 +60,8 @@ def test_final_snapshot_written_at_inexact_final_time(tmp_path):
 def test_initial_field_protocol(tmp_path):
     cfg = small_cfg(tmp_path, noise_amplitude=0.0, helix_pitch_um=0.0)
     noise_rng, _ = _streams(cfg.rng_seed)
-    evolver, state = build_evolver(cfg)
-    psi = initial_field(cfg, noise_rng, state)
+    _, polarized = build_evolver(cfg)
+    psi = initial_field(cfg, noise_rng, polarized)
     s = spin_density(psi)
     nbar = cfg.atom_number / (cfg.lx_um * cfg.lz_um)
     # pi/2 tip about y takes the z-polarized cloud onto +x everywhere
@@ -69,7 +69,7 @@ def test_initial_field_protocol(tmp_path):
     assert np.max(np.abs(s[2])) < 1e-9 * nbar
 
     cfg = small_cfg(tmp_path, noise_amplitude=0.0)
-    psi = initial_field(cfg, noise_rng, state)
+    psi = initial_field(cfg, noise_rng, polarized)
     s = spin_density(psi)
     assert np.max(np.abs(s[2])) < 1e-9 * nbar          # helix is transverse
     phase = np.unwrap(np.angle(s[0, 0, :] + 1j * s[1, 0, :]))
@@ -241,14 +241,36 @@ def test_thomas_fermi_run_builds(tmp_path):
     cfg = small_cfg(tmp_path, profile="thomas-fermi", potential="harmonic",
                     nx=32, nz=128, lx_um=16.0, lz_um=100.0,
                     atom_number=1e4, t_final_ms=0.0)
-    evolver, state = build_evolver(cfg)
-    assert state.potential is not None
+    evolver, _ = build_evolver(cfg)
     assert evolver.potential is not None
-    assert abs(evolver.spec.q_hz - D.q_hz) < 1e-12
+    assert evolver.potential.max() > 0.0
+    assert abs(evolver.q_hz - D.q_hz) < 1e-12
     result = run_simulate(cfg)
     e = {k: result.series.columns[k][0] for k in ("e_pot", "e_c0")}
     assert e["e_pot"] > 0.0
     assert e["e_c0"] > 0.0
+
+
+def test_build_evolver_returns_the_polarized_field(tmp_path):
+    cfg = small_cfg(tmp_path)
+    evolver, psi = build_evolver(cfg)
+    nbar = cfg.atom_number / (cfg.lx_um * cfg.lz_um)
+    assert psi.shape == (3, cfg.nx, cfg.nz)
+    assert np.all(psi[0] == 0.0) and np.all(psi[1] == 0.0)
+    assert np.max(np.abs(np.abs(psi[2]) ** 2 - nbar)) < 1e-9 * nbar
+    assert evolver.q_hz == D.q_hz
+    assert evolver.dt_ms == cfg.dt_ms
+    assert evolver.grid == cfg.grid()
+
+
+def test_unbuildable_cloud_leaves_no_run_directory(tmp_path):
+    out = str(tmp_path / "run")
+    for over in (dict(trap_x_hz=3.0, nx=16, nz=64, k_cut_rad_um=0.1,
+                      k_lo_rad_um=0.2, k_hi_rad_um=0.4),
+                 dict(trap_x_hz=0.0)):
+        with pytest.raises(InvalidParameter, match="trap_x_hz"):
+            run_simulate(RunConfig(out_dir=out, **over))
+        assert not os.path.exists(out)
 
 
 def test_sweep_validation_and_output(tmp_path):
