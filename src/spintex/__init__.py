@@ -6,9 +6,9 @@ from .errors import (GridMismatch, InvalidParameter, NumericalFailure,
                      SpintexError)
 from .grid import Grid2D
 from .params import DerivedParams, derive_params
-from .field import (MagnetizationField, add_noise, imprint_helix,
-                    magnetization, number_density, prepare_initial,
-                    rotate_spinor, spin_density, transverse_state)
+from .field import (add_noise, imprint_helix, number_density,
+                    prepare_initial, rotate_spinor, spin_density,
+                    transverse_state)
 from .dipole import DipolarCoupling, helix_column_energy, interaction_kernel
 from .dynamics import (Evolver, PulseEvent, PulseSchedule, evolve,
                        make_cancellation_schedule)
@@ -24,9 +24,8 @@ __all__ = [
     "__version__",
     "SpintexError", "InvalidParameter", "GridMismatch", "NumericalFailure",
     "Grid2D", "DerivedParams", "derive_params",
-    "MagnetizationField", "add_noise", "imprint_helix",
-    "magnetization", "number_density", "prepare_initial", "rotate_spinor",
-    "spin_density", "transverse_state",
+    "add_noise", "imprint_helix", "number_density", "prepare_initial",
+    "rotate_spinor", "spin_density", "transverse_state",
     "DipolarCoupling", "helix_column_energy", "interaction_kernel",
     "Evolver", "PulseEvent", "PulseSchedule", "evolve",
     "make_cancellation_schedule",

@@ -1,9 +1,10 @@
-"""Measurements on magnetization fields.
+"""Measurements on spin-density arrays.
 
 Covers the spectral order parameters, growth-rate fits and transverse
 spin-vortex detection.  All operations are pure functions of their
-inputs.  A power spectrum is a plain array on the fft2 mode layout;
-the functions that read it take the grid for its |k| mesh.
+inputs.  A spin density is the array s[3, nx, nz] of field.spin_density.
+A power spectrum is a plain array on the fft2 mode layout; the
+functions that read it take the grid for its |k| mesh.
 """
 
 import math
@@ -12,8 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .errors import InvalidParameter
-from .field import MagnetizationField
+from .errors import GridMismatch, InvalidParameter
 from .grid import Grid2D
 
 TWO_PI = 2.0 * math.pi
@@ -44,14 +44,14 @@ class RegionSpec:
                 f"k_hi {self.k_hi:.4f} exceeds the grid Nyquist {nyq:.4f}")
 
 
-def power_spectrum(m: MagnetizationField) -> np.ndarray:
-    """|M(k)|^2 summed over vector components on the fft2 mode layout.
+def power_spectrum(s: np.ndarray) -> np.ndarray:
+    """|M(k)|^2 of s[3, nx, nz], summed over components, fft2 layout.
 
     Normalized so that its sum equals the real-space sum of |M|^2 over
     sites (Parseval).
     """
-    mk = np.fft.fft2(m.m, axes=(-2, -1))
-    return (mk.real**2 + mk.imag**2).sum(axis=0) / (m.grid.nx * m.grid.nz)
+    mk = np.fft.fft2(s, axes=(-2, -1))
+    return (mk.real**2 + mk.imag**2).sum(axis=0) / (s.shape[-2] * s.shape[-1])
 
 
 def order_parameters(p: np.ndarray, grid: Grid2D, regions: RegionSpec,
@@ -211,9 +211,9 @@ def _circular_mean(coords: np.ndarray, period: float) -> float:
     return (mean % TWO_PI) * period / TWO_PI
 
 
-def detect_vortices(m: MagnetizationField,
+def detect_vortices(s: np.ndarray, grid: Grid2D,
                     threshold_frac: float = 0.15) -> tuple:
-    """Vortices of the transverse magnetization, sorted by (z, x).
+    """Vortices of the transverse part of s[3, nx, nz], sorted by (z, x).
 
     The transverse phase theta = arg(M_x + i M_y) is summed with
     wraparound differences around every elementary plaquette; a
@@ -225,8 +225,10 @@ def detect_vortices(m: MagnetizationField,
     if not (0.0 < threshold_frac < 1.0):
         raise InvalidParameter(
             f"threshold_frac must be in (0, 1), got {threshold_frac!r}")
-    g = m.grid
-    mt = m.m[0] + 1j * m.m[1]
+    if s.shape != (3,) + grid.shape:
+        raise GridMismatch(f"spin density shape {s.shape} does not match "
+                           f"grid {grid.shape}")
+    mt = s[0] + 1j * s[1]
     amp = np.abs(mt)
     theta = np.angle(mt)
 
@@ -250,13 +252,13 @@ def detect_vortices(m: MagnetizationField,
     for sign in (+1, -1):
         mask = (charge == sign) & corners_ok
         for (ii, jj) in _periodic_clusters(mask):
-            cx = _circular_mean(g.x[ii] + 0.5 * g.dx, g.lx)
-            cz = _circular_mean(g.z[jj] + 0.5 * g.dz, g.lz)
+            cx = _circular_mean(grid.x[ii] + 0.5 * grid.dx, grid.lx)
+            cz = _circular_mean(grid.z[jj] + 0.5 * grid.dz, grid.lz)
             # map back into the grid's coordinate window
-            if cx > g.x[-1] + g.dx:
-                cx -= g.lx
-            if cz > g.z[-1] + g.dz:
-                cz -= g.lz
+            if cx > grid.x[-1] + grid.dx:
+                cx -= grid.lx
+            if cz > grid.z[-1] + grid.dz:
+                cz -= grid.lz
             vortices.append(Vortex(x_um=cx, z_um=cz, charge=sign))
     vortices.sort(key=lambda v: (v.z_um, v.x_um))
     return tuple(vortices)

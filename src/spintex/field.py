@@ -11,7 +11,6 @@ RunConfig.validate runs the fit check of ``thomas_fermi_density``.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,30 +40,6 @@ def spin_density(psi: np.ndarray) -> np.ndarray:
 
 def number_density(psi: np.ndarray) -> np.ndarray:
     return (psi.real**2 + psi.imag**2).sum(axis=0)
-
-
-@dataclass(frozen=True)
-class MagnetizationField:
-    """Vector magnetization density m[3, nx, nz] and density n on a grid."""
-
-    grid: Grid2D
-    m: np.ndarray
-    n: np.ndarray
-
-    def __post_init__(self):
-        if self.m.shape != (3,) + self.grid.shape or \
-                self.n.shape != self.grid.shape:
-            raise GridMismatch(
-                f"magnetization shape {self.m.shape}, density shape "
-                f"{self.n.shape} do not match grid {self.grid.shape}")
-
-
-def magnetization(psi: np.ndarray, grid: Grid2D) -> MagnetizationField:
-    if psi.shape != (3,) + grid.shape:
-        raise GridMismatch(f"field shape {psi.shape} does not match "
-                           f"grid {grid.shape}")
-    return MagnetizationField(grid=grid, m=spin_density(psi),
-                              n=number_density(psi))
 
 
 def rotate_spinor(psi: np.ndarray, axis: tuple, angle: float) -> np.ndarray:

@@ -4,7 +4,9 @@ Everything the simulator reads or writes is line-oriented text: a
 key = value config format, per-site snapshot tables, and a CSV of
 order-parameter time series.  A run directory holds `meta`,
 `snap_t<ms>.txt` files, `timeseries.csv`, and a terminal `DONE` marker;
-a directory without `DONE` is a detectably partial run.
+a directory without `DONE` is a detectably partial run.  `meta` and the
+config hash on every file cover the physics fields of the config, not
+`out_dir`, so a run's bytes do not depend on where it is written.
 """
 
 import contextlib
@@ -33,9 +35,10 @@ class RunConfig:
     """One simulation run, fully specified.
 
     Defaults reproduce the reference parameter set: 87Rb F=1 scattering
-    lengths, peak density 2.3e14 cm^-3, bias field 165 mG, trap
-    frequencies (39, 440, 4.2) Hz.  This is the only record of the
-    physical inputs; params.derive_params reads them from here.
+    lengths, peak density 2.3e14 cm^-3, bias field 165 mG, in-plane trap
+    frequencies (39, 4.2) Hz; the out-of-plane width is sigma_y_um.
+    This is the only record of the physical inputs;
+    params.derive_params reads them from here.
     """
 
     # physical parameters
@@ -46,7 +49,6 @@ class RunConfig:
     b0_mg: float = 165.0            # bias field along z
     q_coeff_hz_g2: float = 71.6     # quadratic Zeeman coefficient
     trap_x_hz: float = 39.0
-    trap_y_hz: float = 440.0
     trap_z_hz: float = 4.2
     sigma_y_um: float = 1.8 / math.sqrt(5.0)   # transverse Gaussian width
     # grid
@@ -125,8 +127,11 @@ class RunConfig:
                 f"a0_nm and a2_nm must differ (the spin healing length "
                 f"diverges), got {self.a0_nm!r} for both")
         grid = self.grid()
-        regions = self.regions()
-        regions.check_grid(grid)
+        try:
+            self.regions().check_grid(grid)
+        except InvalidParameter as exc:
+            raise InvalidParameter(
+                f"k_cut_rad_um, k_lo_rad_um, k_hi_rad_um: {exc}") from None
         if not (0.0 < self.dt_ms <= 0.2):
             raise InvalidParameter(
                 f"dt_ms must lie in (0, 0.2], got {self.dt_ms!r}")
@@ -192,8 +197,8 @@ class RunConfig:
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 _POSITIVE = ("a0_nm", "a2_nm", "n0_cm3", "atom_number", "sigma_y_um",
-             "q_coeff_hz_g2")
-_NONNEGATIVE = ("b0_mg", "trap_x_hz", "trap_y_hz", "trap_z_hz",
+             "q_coeff_hz_g2", "lx_um", "lz_um")
+_NONNEGATIVE = ("b0_mg", "trap_x_hz", "trap_z_hz",
                 "t_final_ms", "snapshot_every_ms", "snapshot_write_every_ms",
                 "residual_gradient_mg_cm", "helix_pitch_um",
                 "noise_amplitude", "cancel_pulse_rate_khz")
@@ -237,7 +242,11 @@ def parse_config(text: str) -> RunConfig:
 
 def load_config(path: str) -> RunConfig:
     with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        text = fh.read()
+    try:
+        return parse_config(text)
+    except InvalidParameter as exc:
+        raise InvalidParameter(f"{path}: {exc}") from None
 
 
 _HEADER_COMMENTS = """\
@@ -250,8 +259,10 @@ _HEADER_COMMENTS = """\
 
 
 def _config_lines(cfg: RunConfig) -> list:
-    # values are written bare (no quoting); parse takes them verbatim
-    return [f"{name} = {getattr(cfg, name)}" for name in _FIELD_TYPES]
+    # values are written bare (no quoting); parse takes them verbatim.
+    # out_dir says where a run is written, not what it is
+    return [f"{name} = {getattr(cfg, name)}" for name in _FIELD_TYPES
+            if name != "out_dir"]
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -22,8 +22,8 @@ from .analysis import (OrderParamSeries, detect_vortices, growth_rate,
                        order_parameters, power_spectrum)
 from .dynamics import Evolver, evolve, make_cancellation_schedule
 from .errors import InvalidParameter
-from .field import (add_noise, imprint_helix, magnetization, prepare_initial,
-                    rotate_spinor)
+from .field import (add_noise, imprint_helix, prepare_initial, rotate_spinor,
+                    spin_density)
 from .io_text import (RunConfig, atomic_text, config_hash, load_config,
                       mark_done, read_snapshot, snapshot_name, write_meta,
                       write_snapshot, write_timeseries)
@@ -77,13 +77,13 @@ def initial_field(cfg: RunConfig, noise_rng: np.random.Generator,
 
 def _measure_row(t_ms: float, psi: np.ndarray, evolver: Evolver,
                  regions, background) -> dict:
-    m = magnetization(psi, evolver.grid)
-    long_p, short_p, total_p = order_parameters(power_spectrum(m),
+    s = spin_density(psi)
+    long_p, short_p, total_p = order_parameters(power_spectrum(s),
                                                 evolver.grid, regions,
                                                 background)
     row = {"t_ms": t_ms, "long_order": long_p, "short_order": short_p,
            "total_power": total_p,
-           "n_vortices": float(len(detect_vortices(m)))}
+           "n_vortices": float(len(detect_vortices(s, evolver.grid)))}
     row.update(evolver.energy_per_atom(psi))
     return row
 

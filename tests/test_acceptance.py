@@ -29,8 +29,7 @@ from spintex import oracles
 from spintex.analysis import (RegionSpec, detect_vortices,
                               dominant_wavevector, power_spectrum)
 from spintex.dynamics import Evolver, evolve
-from spintex.field import (MagnetizationField, imprint_helix, magnetization,
-                           spin_density, transverse_state)
+from spintex.field import imprint_helix, spin_density, transverse_state
 from spintex.grid import Grid2D
 from spintex.io_text import RunConfig, read_snapshot, snapshot_name
 from spintex.params import derive_params, helix_kinetic_energy
@@ -253,8 +252,7 @@ def test_criterion_4_helix_dissolution(dissolution_run):
     shape_ok = short[-1] > short[0] and long_p[-1] < long_p[0]
 
     grid = cfg.grid()
-    m = magnetization(res.psi, grid)
-    kdom = dominant_wavevector(power_spectrum(m), grid,
+    kdom = dominant_wavevector(power_spectrum(spin_density(res.psi)), grid,
                                k_min=RegionSpec().k_cut)
     lo, hi = TWO_PI / 20.0, TWO_PI / 5.0
     # the emergent peak sits exactly on a grid mode at the band edge,
@@ -327,12 +325,9 @@ def test_criterion_7_vortex_pipeline(vortex_run, dissolution_run):
     theta = np.arctan2(g.zmesh - z0, g.xmesh - x0)
     amp = np.ones(g.shape)
     amp[:2, :] = amp[-2:, :] = amp[:, :2] = amp[:, -2:] = 0.01
-    f = MagnetizationField(
-        grid=g,
-        m=np.stack([amp * np.cos(theta), amp * np.sin(theta),
-                    np.zeros(g.shape)]),
-        n=amp.copy())
-    vs = detect_vortices(f)
+    s = np.stack([amp * np.cos(theta), amp * np.sin(theta),
+                  np.zeros(g.shape)])
+    vs = detect_vortices(s, g)
     single_ok = (len(vs) == 1 and vs[0].charge == +1
                  and abs(vs[0].x_um - x0) <= g.dx
                  and abs(vs[0].z_um - z0) <= g.dz)
@@ -341,10 +336,9 @@ def test_criterion_7_vortex_pipeline(vortex_run, dissolution_run):
     # the first row of both production runs
     helix = imprint_helix(_uniform_transverse(g, D.n2d_peak), g,
                           TWO_PI / 16.0)
-    helix_m = magnetization(helix, g)
     cfg, res = vortex_run
     _, slab_res = dissolution_run
-    clean_ok = (len(detect_vortices(helix_m)) == 0
+    clean_ok = (len(detect_vortices(spin_density(helix), g)) == 0
                 and res.series.n_vortices[0] == 0
                 and slab_res.series.n_vortices[0] == 0)
 
@@ -358,7 +352,7 @@ def test_criterion_7_vortex_pipeline(vortex_run, dissolution_run):
     t_max = float(res.series.t_ms[i_max])
     psi, grid, _ = read_snapshot(os.path.join(res.run_dir,
                                               snapshot_name(t_max)))
-    peak = detect_vortices(magnetization(psi, grid))
+    peak = detect_vortices(spin_density(psi), grid)
     net = sum(v.charge for v in peak)
     net_ok = abs(net) <= 0.3 * max(len(peak), 1)
 

@@ -16,13 +16,8 @@ from spintex.analysis import (
     order_parameters,
     power_spectrum,
 )
-from spintex.errors import InvalidParameter
-from spintex.field import (
-    MagnetizationField,
-    imprint_helix,
-    magnetization,
-    transverse_state,
-)
+from spintex.errors import GridMismatch, InvalidParameter
+from spintex.field import imprint_helix, spin_density, transverse_state
 from spintex.grid import Grid2D
 
 TWO_PI = 2.0 * math.pi
@@ -47,8 +42,7 @@ def test_power_spectrum_parseval():
     g = Grid2D(nx=16, nz=32, lx=8.0, lz=20.0)
     rng = np.random.default_rng(7)
     m = rng.standard_normal((3,) + g.shape)
-    n = np.abs(rng.standard_normal(g.shape)) + 0.1
-    p = power_spectrum(MagnetizationField(grid=g, m=m, n=n))
+    p = power_spectrum(m)
     assert p.shape == g.shape
     assert np.all(p >= 0)
     # total spectral power equals the real-space sum of |M|^2 over sites
@@ -60,7 +54,7 @@ def test_power_spectrum_parseval():
 def test_helix_power_concentrates_on_one_mode():
     g = Grid2D(nx=16, nz=64, lx=8.0, lz=32.0)
     dens = 2.5
-    m = magnetization(helix_field(g, dens, pitch=8.0), g)
+    m = spin_density(helix_field(g, dens, pitch=8.0))
     p = power_spectrum(m)
     total = dens**2 * g.nx * g.nz
     # all power in the two conjugate modes at kz = +-2 pi / 8
@@ -99,14 +93,14 @@ def test_order_parameters_helix_placement():
     total = dens**2 * g.nx * g.nz
 
     # pitch 32: kappa = 0.196 below k_cut, all power long-range
-    m_long = magnetization(helix_field(g, dens, pitch=32.0), g)
+    m_long = spin_density(helix_field(g, dens, pitch=32.0))
     lo, sh, tot = order_parameters(power_spectrum(m_long), g, regions)
     assert abs(lo - total) < 1e-9 * total
     assert sh < 1e-9 * total
     assert abs(tot - total) < 1e-9 * total
 
     # pitch 8: kappa = 0.785 inside the short annulus
-    m_short = magnetization(helix_field(g, dens, pitch=8.0), g)
+    m_short = spin_density(helix_field(g, dens, pitch=8.0))
     lo, sh, tot = order_parameters(power_spectrum(m_short), g, regions)
     assert lo < 1e-9 * total
     assert abs(sh - total) < 1e-9 * total
@@ -116,7 +110,7 @@ def test_order_parameters_helix_placement():
 def test_order_parameters_background_subtraction():
     g = Grid2D(nx=64, nz=64, lx=32.0, lz=32.0)
     regions = RegionSpec()
-    m = magnetization(helix_field(g, 2.0, pitch=8.0), g)
+    m = spin_density(helix_field(g, 2.0, pitch=8.0))
     p = power_spectrum(m)
     ref = order_parameters(p, g, regions)
 
@@ -248,8 +242,8 @@ def winding_field(grid, cores, amp=None):
                 theta += c * np.arctan2(grid.zmesh - z0 + iz * grid.lz,
                                         grid.xmesh - x0 + ix * grid.lx)
     a = np.ones(grid.shape) if amp is None else amp
-    m = np.stack([a * np.cos(theta), a * np.sin(theta), np.zeros(grid.shape)])
-    return MagnetizationField(grid=grid, m=m, n=a.copy())
+    return np.stack([a * np.cos(theta), a * np.sin(theta),
+                     np.zeros(grid.shape)])
 
 
 def test_vortex_pair_recovered_exactly():
@@ -258,7 +252,7 @@ def test_vortex_pair_recovered_exactly():
     minus = (g.x[22] + 0.25, g.z[20] + 0.25)
     f = winding_field(g, [plus + (+1,), minus + (-1,)])
     for thr in (0.05, 0.15, 0.3, 0.5):
-        vs = detect_vortices(f, threshold_frac=thr)
+        vs = detect_vortices(f, g, threshold_frac=thr)
         assert len(vs) == 2
         assert sum(v.charge for v in vs) == 0
         by_charge = {v.charge: v for v in vs}
@@ -270,8 +264,8 @@ def test_vortex_pair_recovered_exactly():
 
 def test_helix_carries_no_vortices():
     g = Grid2D(nx=32, nz=32, lx=16.0, lz=16.0)
-    m = magnetization(helix_field(g, 2.0, pitch=8.0), g)
-    assert len(detect_vortices(m)) == 0
+    m = spin_density(helix_field(g, 2.0, pitch=8.0))
+    assert len(detect_vortices(m, g)) == 0
 
 
 def test_adjacent_same_charge_plaquettes_merge():
@@ -280,7 +274,7 @@ def test_adjacent_same_charge_plaquettes_merge():
     f = winding_field(g, [(xp, g.z[10] + 0.25, +1), (xp, g.z[11] + 0.25, +1),
                           (g.x[24] + 0.25, g.z[4] + 0.25, -1),
                           (g.x[4] + 0.25, g.z[24] + 0.25, -1)])
-    vs = detect_vortices(f)
+    vs = detect_vortices(f, g)
     # the tight same-charge pair reads as one vortex at the mean center
     assert len(vs) == 3
     assert sum(v.charge for v in vs) == -1
@@ -297,9 +291,7 @@ def test_seam_straddling_cluster_merges():
                           (g.x[24] + 0.25, g.z[4] + 0.25, -1),
                           (g.x[4] + 0.25, g.z[24] + 0.25, -1)])
     # rolling by -11 cells puts the merged pair across the periodic seam
-    rolled = MagnetizationField(grid=g, m=np.roll(f.m, -11, axis=2),
-                                n=np.roll(f.n, -11, axis=1))
-    vs = detect_vortices(rolled)
+    vs = detect_vortices(np.roll(f, -11, axis=2), g)
     assert len(vs) == 3
     assert sum(v.charge for v in vs) == -1
     merged = [v for v in vs if v.charge == +1]
@@ -322,10 +314,10 @@ def test_vortex_threshold_masks_weak_regions():
     amp = np.ones(g.shape)
     amp[7:11, 9:13] = 0.01
     f = winding_field(g, [plus + (+1,), minus + (-1,)], amp=amp)
-    vs = detect_vortices(f, threshold_frac=0.15)
+    vs = detect_vortices(f, g, threshold_frac=0.15)
     assert len(vs) == 1
     assert vs[0].charge == -1
-    vs = detect_vortices(f, threshold_frac=0.005)
+    vs = detect_vortices(f, g, threshold_frac=0.005)
     assert len(vs) == 2
     assert sum(v.charge for v in vs) == 0
 
@@ -336,10 +328,8 @@ def test_vortices_covariant_under_spin_rotation():
                           (g.x[22] + 0.25, g.z[20] + 0.25, -1)])
     alpha = 0.9
     ca, sa = math.cos(alpha), math.sin(alpha)
-    mrot = np.stack([ca * f.m[0] - sa * f.m[1],
-                     sa * f.m[0] + ca * f.m[1], f.m[2]])
-    frot = MagnetizationField(grid=g, m=mrot, n=f.n.copy())
-    a, b = detect_vortices(f), detect_vortices(frot)
+    frot = np.stack([ca * f[0] - sa * f[1], sa * f[0] + ca * f[1], f[2]])
+    a, b = detect_vortices(f, g), detect_vortices(frot, g)
     assert len(a) == len(b)
     for va, vb in zip(a, b):
         assert va.charge == vb.charge
@@ -349,8 +339,18 @@ def test_vortices_covariant_under_spin_rotation():
 
 def test_vortex_threshold_validation():
     g = Grid2D(nx=8, nz=8, lx=8.0, lz=8.0)
-    f = MagnetizationField(grid=g, m=np.ones((3,) + g.shape),
-                           n=np.ones(g.shape))
+    f = np.ones((3,) + g.shape)
     for bad in (0.0, 1.0, -0.1):
         with pytest.raises(InvalidParameter):
-            detect_vortices(f, threshold_frac=bad)
+            detect_vortices(f, g, threshold_frac=bad)
+
+
+def test_vortices_need_a_spin_density_on_the_grid():
+    g = Grid2D(nx=8, nz=8, lx=4.0, lz=4.0)
+    psi = np.tile(transverse_state()[:, None, None], (1,) + g.shape) * 2.0
+    s = spin_density(psi)
+    assert np.allclose(s[0], 4.0)
+    assert detect_vortices(s, g) == ()
+    for bad in (spin_density(psi[:, :4, :]), s[:2]):
+        with pytest.raises(GridMismatch):
+            detect_vortices(bad, g)

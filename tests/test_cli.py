@@ -97,6 +97,24 @@ def test_analyze_truncated_snapshot_is_an_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_analyze_refuses_a_run_written_before_trap_y_hz_went(tmp_path):
+    # meta files of earlier versions list trap_y_hz; such a run is re-run,
+    # not read under a guessed config
+    out_dir = tmp_path / "oldrun"
+    assert main(["simulate", "--config", write_small(tmp_path),
+                 "--out", str(out_dir)]) == 0
+    meta = out_dir / "meta"
+    meta.write_text(meta.read_text().replace(
+        "trap_x_hz = 39.0\n", "trap_x_hz = 39.0\ntrap_y_hz = 440.0\n"))
+    proc = run_cli("analyze", str(out_dir))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert str(meta) in proc.stderr
+    assert "unknown key 'trap_y_hz'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (out_dir / "analysis.csv").exists()
+
+
 def test_analyze_command(tmp_path, capsys):
     cfg_path = write_small(tmp_path)
     out_dir = str(tmp_path / "run")

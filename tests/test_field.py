@@ -5,11 +5,10 @@ import pytest
 from scipy import linalg
 
 from spintex.errors import GridMismatch, InvalidParameter
-from spintex.field import (MagnetizationField, add_noise, imprint_helix,
-                           magnetization, number_density, prepare_initial,
-                           rotate_spinor, spin_density, spin_matrices,
-                           thomas_fermi_density, transverse_state,
-                           zeeman_like_apply)
+from spintex.field import (add_noise, imprint_helix, number_density,
+                           prepare_initial, rotate_spinor, spin_density,
+                           spin_matrices, thomas_fermi_density,
+                           transverse_state, zeeman_like_apply)
 from spintex.grid import Grid2D
 
 def test_spin_matrices_algebra():
@@ -164,17 +163,6 @@ def test_zeeman_like_apply_unitary_on_fields():
     v[:, 0, 0] = 0.0
     out = zeeman_like_apply(psi, 0.3, u, 0.7, v[0], v[1], v[2])
     assert np.allclose(number_density(out), number_density(psi), atol=1e-12)
-
-
-def test_magnetization_container():
-    g = Grid2D(nx=8, nz=8, lx=4.0, lz=4.0)
-    psi = np.tile(transverse_state()[:, None, None], (1, 8, 8)) * 2.0
-    m = magnetization(psi, g)
-    assert isinstance(m, MagnetizationField)
-    assert np.allclose(m.n, 4.0)
-    assert np.allclose(m.m[0], 4.0)
-    with pytest.raises(GridMismatch):
-        magnetization(psi[:, :4, :], g)
 
 
 def test_thomas_fermi_profile():

@@ -43,7 +43,7 @@ def test_preset_defaults():
     assert cfg.atom_number == 1.86e6
     assert cfg.b0_mg == 165.0
     assert cfg.q_coeff_hz_g2 == 71.6
-    assert (cfg.trap_x_hz, cfg.trap_y_hz, cfg.trap_z_hz) == (39.0, 440.0, 4.2)
+    assert (cfg.trap_x_hz, cfg.trap_z_hz) == (39.0, 4.2)
     assert abs(cfg.sigma_y_um - 1.8 / math.sqrt(5.0)) < 1e-12
     assert cfg.helix_pitch_um == 60.0
     assert cfg.kernel_mode == "larmor"
@@ -103,6 +103,18 @@ def test_profile_potential_pairing():
         parse_config("profile = uniform")
     cfg = parse_config("profile = uniform\npotential = none\n")
     assert cfg.profile == "uniform"
+
+
+@pytest.mark.parametrize("key, raw, message", [
+    ("lx_um", "-4", "lx_um must be positive"),
+    ("lz_um", "0", "lz_um must be positive"),
+    ("nx", "12", "nx must be a power of two"),
+    ("k_lo_rad_um", "0.1", "k_lo_rad_um.*need 0 < k_cut < k_lo < k_hi"),
+    ("k_hi_rad_um", "9", "k_hi_rad_um.*exceeds the grid Nyquist"),
+])
+def test_grid_and_region_errors_name_the_field(key, raw, message):
+    with pytest.raises(InvalidParameter, match=message):
+        parse_config(f"{key} = {raw}")
 
 
 def test_unbuildable_thomas_fermi_cloud_is_rejected():
@@ -173,8 +185,12 @@ def test_config_round_trip():
             "helix_pitch_um = 50\ncancel_pulse_rate_khz = 1.5\n"
             "background = 0.25\nout_dir = runs/abc\nrng_seed = 7\n")
     cfg = parse_config(text)
-    again = parse_config(serialize_config(cfg))
-    assert dataclasses.asdict(again) == dataclasses.asdict(cfg)
+    assert cfg.out_dir == "runs/abc"
+    serialized = serialize_config(cfg)
+    assert "out_dir" not in serialized
+    again = parse_config(serialized)
+    assert again.out_dir == RunConfig().out_dir
+    assert dataclasses.replace(again, out_dir=cfg.out_dir) == cfg
     assert config_hash(again) == config_hash(cfg)
 
 
@@ -183,9 +199,11 @@ def test_config_hash_tracks_content():
     b = parse_config("rng_seed = 4321")
     ha, hb = config_hash(a), config_hash(b)
     assert ha != hb
-    assert ha == "49228222696c"     # meta files of the defaults still match
+    assert ha == "4405093a4be1"     # meta files of the defaults still match
     assert len(ha) == 12
     int(ha, 16)
+    # where a run is written is not part of what it is
+    assert config_hash(parse_config("out_dir = some/much/longer/path")) == ha
 
 
 def test_load_config(tmp_path):
@@ -194,6 +212,15 @@ def test_load_config(tmp_path):
                     "profile = uniform\npotential = none\n")
     cfg = load_config(str(path))
     assert cfg.nx == 64
+    # errors name the file, so a refused run directory's meta is found
+    path.write_text("nx = 64\nbogus_key = 1\n")
+    with pytest.raises(InvalidParameter) as info:
+        load_config(str(path))
+    assert str(info.value) == f"{path}: line 2: unknown key 'bogus_key'"
+    path.write_text("lx_um = -4\n")
+    with pytest.raises(InvalidParameter, match="lx_um") as info:
+        load_config(str(path))
+    assert str(info.value).startswith(f"{path}: ")
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +370,12 @@ def test_meta_and_done_markers(tmp_path):
     meta = open(os.path.join(run_dir, "meta"), encoding="utf-8").read()
     assert f"# config = {config_hash(cfg)}" in meta
     assert "rng_seed = 5" in meta
+    # meta holds the run's physics, every field but out_dir
+    keys = [ln.split("=", 1)[0].strip() for ln in meta.splitlines()
+            if ln.strip() and not ln.startswith("#")]
+    assert keys == [f.name for f in dataclasses.fields(RunConfig)
+                    if f.name != "out_dir"]
+    assert len(keys) == 30
     assert not is_complete(run_dir)
     mark_done(run_dir)
     assert is_complete(run_dir)

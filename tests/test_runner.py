@@ -96,21 +96,31 @@ def test_run_is_deterministic(tmp_path):
     assert not np.array_equal(a.psi, c.psi)
 
 
+def read_tree(run_dir) -> dict:
+    return {name: open(os.path.join(run_dir, name), "rb").read()
+            for name in os.listdir(run_dir)}
+
+
+def test_run_directory_does_not_depend_on_its_path(tmp_path):
+    short = str(tmp_path / "a")
+    long = str(tmp_path / "a much longer" / "path to the same run")
+    trees = [read_tree(run_simulate(small_cfg(
+        tmp_path, out_dir=d, snapshot_write_every_ms=0.5)).run_dir)
+        for d in (short, long)]
+    assert "snap_t0.5.txt" in trees[0]
+    assert trees[0] == trees[1]
+
+
 def test_run_directory_does_not_depend_on_the_block_size(tmp_path,
                                                          monkeypatch):
-    # out_dir enters the config hash, so both runs use the same relative
-    # out_dir, each under its own working directory; 640 sites are 10 of
-    # the 64-site rows: blocks of 10, 10, 10 and 2 rows
+    # 640 sites are 10 of the 64-site rows: blocks of 10, 10, 10 and 2 rows
     trees = []
     for block_sites in (dynamics._BLOCK_SITES, 640):
         monkeypatch.setattr(dynamics, "_BLOCK_SITES", block_sites)
-        work = tmp_path / f"blocks_{block_sites}"
-        work.mkdir()
-        monkeypatch.chdir(work)
-        run_simulate(small_cfg(tmp_path, out_dir="run",
+        out = str(tmp_path / f"blocks_{block_sites}")
+        run_simulate(small_cfg(tmp_path, out_dir=out,
                                snapshot_write_every_ms=0.5))
-        trees.append({name: (work / "run" / name).read_bytes()
-                      for name in os.listdir(work / "run")})
+        trees.append(read_tree(out))
     assert "snap_t0.5.txt" in trees[0]
     assert trees[0] == trees[1]
 
