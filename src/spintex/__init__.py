@@ -10,9 +10,8 @@ from .field import (add_noise, imprint_helix, number_density,
                     prepare_initial, rotate_spinor, spin_density,
                     transverse_state)
 from .dipole import DipolarCoupling, helix_column_energy, interaction_kernel
-from .dynamics import (Evolver, PulseEvent, PulseSchedule, evolve,
-                       make_cancellation_schedule)
-from .analysis import (OrderParamSeries, RegionSpec, Vortex, detect_vortices,
+from .dynamics import Evolver, evolve, make_cancellation_schedule
+from .analysis import (OrderParamSeries, Vortex, detect_vortices,
                        dominant_wavevector, growth_rate, order_parameters,
                        power_spectrum)
 from .io_text import (RunConfig, config_hash, load_config, parse_config,
@@ -27,9 +26,8 @@ __all__ = [
     "add_noise", "imprint_helix", "number_density", "prepare_initial",
     "rotate_spinor", "spin_density", "transverse_state",
     "DipolarCoupling", "helix_column_energy", "interaction_kernel",
-    "Evolver", "PulseEvent", "PulseSchedule", "evolve",
-    "make_cancellation_schedule",
-    "OrderParamSeries", "RegionSpec", "Vortex", "detect_vortices",
+    "Evolver", "evolve", "make_cancellation_schedule",
+    "OrderParamSeries", "Vortex", "detect_vortices",
     "dominant_wavevector", "growth_rate", "order_parameters",
     "power_spectrum",
     "RunConfig", "config_hash", "load_config", "parse_config",

@@ -4,7 +4,9 @@ Covers the spectral order parameters, growth-rate fits and transverse
 spin-vortex detection.  All operations are pure functions of their
 inputs.  A spin density is the array s[3, nx, nz] of field.spin_density.
 A power spectrum is a plain array on the fft2 mode layout; the
-functions that read it take the grid for its |k| mesh.
+functions that read it take the grid for its |k| mesh.  The spectral
+regions are three wavevectors, k_cut, k_lo and k_hi (rad/um), held by
+RunConfig; check_regions is their one rule.
 """
 
 import math
@@ -23,25 +25,17 @@ TWO_PI = 2.0 * math.pi
 # Power spectrum and order parameters
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RegionSpec:
-    """Spectral regions: a central disc and a short-wavelength annulus."""
-
-    k_cut: float = TWO_PI / 25.0
-    k_lo: float = TWO_PI / 15.0
-    k_hi: float = TWO_PI / 6.0
-
-    def __post_init__(self):
-        if not (0.0 < self.k_cut < self.k_lo < self.k_hi):
-            raise InvalidParameter(
-                f"need 0 < k_cut < k_lo < k_hi, got "
-                f"({self.k_cut!r}, {self.k_lo!r}, {self.k_hi!r})")
-
-    def check_grid(self, grid: Grid2D) -> None:
-        nyq = min(grid.k_nyquist_x, grid.k_nyquist_z)
-        if self.k_hi >= nyq:
-            raise InvalidParameter(
-                f"k_hi {self.k_hi:.4f} exceeds the grid Nyquist {nyq:.4f}")
+def check_regions(grid: Grid2D, k_cut: float, k_lo: float,
+                  k_hi: float) -> None:
+    """Refuse spectral regions unless 0 < k_cut < k_lo < k_hi < Nyquist."""
+    if not (0.0 < k_cut < k_lo < k_hi):
+        raise InvalidParameter(
+            f"need 0 < k_cut < k_lo < k_hi, got "
+            f"({k_cut!r}, {k_lo!r}, {k_hi!r})")
+    nyq = min(grid.k_nyquist_x, grid.k_nyquist_z)
+    if k_hi >= nyq:
+        raise InvalidParameter(
+            f"k_hi {k_hi:.4f} exceeds the grid Nyquist {nyq:.4f}")
 
 
 def power_spectrum(s: np.ndarray) -> np.ndarray:
@@ -54,21 +48,23 @@ def power_spectrum(s: np.ndarray) -> np.ndarray:
     return (mk.real**2 + mk.imag**2).sum(axis=0) / (s.shape[-2] * s.shape[-1])
 
 
-def order_parameters(p: np.ndarray, grid: Grid2D, regions: RegionSpec,
-                     background=0.0) -> tuple:
+def order_parameters(p: np.ndarray, grid: Grid2D, k_cut: float,
+                     k_lo: float, k_hi: float, background=0.0) -> tuple:
     """(long, short, total) spectral powers after background removal.
 
     long sums the central disc |k| <= k_cut, short the annulus
-    k_lo <= |k| <= k_hi, total everything.  `background` is a constant
-    spectral floor subtracted from every mode (clipped at zero), or
-    "auto" to estimate it as the mean power at |k| > 2 k_hi.
+    k_lo <= |k| <= k_hi, total everything; the regions must pass
+    check_regions.  `background` is a constant spectral floor subtracted
+    from every mode (clipped at zero), or "auto" to estimate it as the
+    mean power at |k| > 2 k_hi.
     """
+    check_regions(grid, k_cut, k_lo, k_hi)
     kmag = grid.kmag
     if isinstance(background, str):
         if background != "auto":
             raise InvalidParameter(
                 f"background must be a number or 'auto', got {background!r}")
-        far = kmag > 2.0 * regions.k_hi
+        far = kmag > 2.0 * k_hi
         if not far.any():
             raise InvalidParameter(
                 "no modes beyond 2 k_hi to estimate the background from")
@@ -78,8 +74,8 @@ def order_parameters(p: np.ndarray, grid: Grid2D, regions: RegionSpec,
         if floor < 0:
             raise InvalidParameter(f"background must be >= 0, got {floor!r}")
     q = np.clip(p - floor, 0.0, None)
-    long_p = float(q[kmag <= regions.k_cut].sum())
-    short_p = float(q[(kmag >= regions.k_lo) & (kmag <= regions.k_hi)].sum())
+    long_p = float(q[kmag <= k_cut].sum())
+    short_p = float(q[(kmag >= k_lo) & (kmag <= k_hi)].sum())
     return long_p, short_p, float(q.sum())
 
 

@@ -7,9 +7,11 @@ split of field.zeeman_like_apply, exactly unitary and accurate to
 O(dt^3).  The local sub-flow rotates the spin about the mean field it
 generates, so frozen coefficients are not exact there; the full local
 step therefore uses coefficients from a predicted midpoint state,
-which keeps the whole scheme second order in dt.  Evolver.advance
-merges each step's closing kinetic half step with the next step's
-opening one, so a run of steps costs one FFT pair per step.
+which keeps the whole scheme second order in dt.  evolve is the one
+stepping loop, and its step index the one step clock: it keys the
+pulses and names a failed step.  Between two stops (a pulse or an
+observation) each step's closing kinetic half step merges with the
+next step's opening one, so a run of steps costs one FFT pair per step.
 
 Everything but the FFTs is site-local, so Evolver.step runs it in
 three loops over blocks of whole grid rows (about _BLOCK_SITES sites),
@@ -27,7 +29,6 @@ are converted with RADPMS_PER_HHZ once per application.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +45,7 @@ _BLOCK_SITES = 4096
 
 
 class Evolver:
-    """Advances a spinor field in fixed steps of dt_ms."""
+    """The steps of dt_ms that evolve runs, and the energy diagnostics."""
 
     def __init__(self, grid: Grid2D, dt_ms: float, *, q_hz: float,
                  c0_2d: float, c2_2d: float, sigma_y_um: float, c_dd: float,
@@ -70,7 +71,6 @@ class Evolver:
         self.linear_z = slope * grid.z[None, :]
         self._kin_half = np.exp(-0.5j * cn.KIN_COEF * grid.k2 * dt_ms)
         self._kin_full = self._kin_half * self._kin_half
-        self._steps_taken = 0
 
     def _kinetic(self, psi: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
         # one spin component at a time: a 2D transform's working set is a
@@ -82,17 +82,8 @@ class Evolver:
             out[c] = np.fft.ifft2(pk)
         return out
 
-    def advance(self, psi: np.ndarray, n: int) -> np.ndarray:
-        """Take n full steps (n >= 1) and return the field after them."""
-        if n < 1:
-            raise InvalidParameter(f"advance needs n >= 1, got {n!r}")
-        psi = self._kinetic(psi, self._kin_half)
-        for i in range(1, n + 1):
-            psi = self.step(psi, last=i == n)
-        return psi
-
-    def step(self, psi: np.ndarray, last: bool) -> np.ndarray:
-        """One step inside advance, after its opening kinetic half step.
+    def step(self, psi: np.ndarray, k: int, last: bool) -> np.ndarray:
+        """Step k of evolve, after its segment's opening kinetic half step.
 
         The exponential-midpoint local step runs as three loops over
         blocks of rows, around the two dipolar convolutions:
@@ -102,7 +93,8 @@ class Evolver:
            overwrite (s, n) block by block;
         C. the full local step of psi with the predicted coefficients.
         Then comes the closing kinetic half step, merged with the next
-        step's opening one (alone on the last step).
+        step's opening one (alone on the segment's last step).  k only
+        names the step in a NumericalFailure.
         """
         theta = self.dt_ms * cn.RADPMS_PER_HHZ
         nx, nz = self.grid.shape
@@ -133,13 +125,12 @@ class Evolver:
         out = np.empty_like(psi)
         for r in blocks:
             out[:, r] = local(r, b, theta)
-        self._steps_taken += 1
         # checked before the FFT spreads a non-finite site over the grid
         if not np.all(np.isfinite(out.view(float))):
             _, ix, iz = np.argwhere(~np.isfinite(out))[0]
             raise NumericalFailure(
-                f"non-finite amplitudes in step {self._steps_taken} "
-                f"(t = {self._steps_taken * self.dt_ms:.12g} ms), "
+                f"non-finite amplitudes in step {k} "
+                f"(t = {k * self.dt_ms:.12g} ms), "
                 f"first at site (ix, iz) = ({ix}, {iz})")
         return self._kinetic(out, self._kin_half if last else self._kin_full)
 
@@ -181,104 +172,79 @@ class Evolver:
 
 
 # ---------------------------------------------------------------------------
-# Scheduled rf pulses
+# Scheduled rf pulses and the stepping loop
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PulseEvent:
-    time_ms: float
-    axis: tuple          # unit rotation axis
-    angle: float         # radians
-
-
-@dataclass(frozen=True)
-class PulseSchedule:
-    events: tuple
-    t_final_ms: float
-
-    def __post_init__(self):
-        for i, ev in enumerate(self.events):
-            for name in ("time_ms", "axis", "angle"):
-                value = getattr(ev, name)
-                if not np.all(np.isfinite(value)):
-                    raise InvalidParameter(
-                        f"pulse {i}: {name} must be finite, got {value!r}")
-        times = [e.time_ms for e in self.events]
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-            raise InvalidParameter("pulse times must be strictly increasing")
-        if times and (times[0] < 0.0 or times[-1] > self.t_final_ms):
-            raise InvalidParameter(
-                f"pulse times must lie within [0, {self.t_final_ms}] ms")
-
-    def __len__(self):
-        return len(self.events)
-
-
 def make_cancellation_schedule(rate_khz: float, t_final_ms: float,
-                               seed) -> PulseSchedule:
+                               dt_ms: float,
+                               rng: np.random.Generator) -> dict:
     """Random pi/2 pulse train that averages the dipolar coupling away.
 
-    Pulse times follow a Poisson process of mean rate rate_khz; each
-    event rotates the spins by pi/2 about an axis drawn uniformly in
-    the x-y plane.  Rapid random tumbling makes the spins sample
-    orientations isotropically, so the traceless dipolar tensor
-    time-averages toward zero.  Deterministic for a given seed.
+    Pulse times follow a Poisson process of mean rate rate_khz over
+    [0, t_final_ms]; each pulse rotates the spins by pi/2 about an axis
+    drawn uniformly in the x-y plane.  Rapid random tumbling makes the
+    spins sample orientations isotropically, so the traceless dipolar
+    tensor time-averages toward zero.  rng gives one exponential draw,
+    then one uniform draw per pulse.  Returns evolve's pulses,
+    {n: [(axis, angle), ...]}, each pulse at time t keyed by the first
+    step n >= 1 with t <= n*dt_ms + 1e-9 (t = 0 fires after step 1).
     """
-    if rate_khz <= 0:
-        raise InvalidParameter(f"pulse rate must be positive, "
+    if not (math.isfinite(rate_khz) and rate_khz > 0):
+        raise InvalidParameter(f"pulse rate must be positive and finite, "
                                f"got {rate_khz!r}")
     if t_final_ms < 0:
         raise InvalidParameter(f"t_final_ms must be >= 0, "
                                f"got {t_final_ms!r}")
-    rng = seed if isinstance(seed, np.random.Generator) \
-        else np.random.default_rng(seed)
-    events = []
+    if not dt_ms > 0:
+        raise InvalidParameter(f"dt_ms must be positive, got {dt_ms!r}")
+    pulses, n = {}, 1
     t = rng.exponential(1.0 / rate_khz)
     while t <= t_final_ms:
         alpha = rng.uniform(0.0, 2.0 * math.pi)
-        events.append(PulseEvent(time_ms=t,
-                                 axis=(math.cos(alpha), math.sin(alpha), 0.0),
-                                 angle=0.5 * math.pi))
+        while t > n * dt_ms + 1e-9:         # first step boundary at or after t
+            n += 1
+        pulses.setdefault(n, []).append(
+            ((math.cos(alpha), math.sin(alpha), 0.0), 0.5 * math.pi))
         t += rng.exponential(1.0 / rate_khz)
-    return PulseSchedule(events=tuple(events), t_final_ms=t_final_ms)
+    return pulses
 
 
 def evolve(psi: np.ndarray, evolver: Evolver, n_steps: int,
-           schedule: PulseSchedule = None, observer=None,
+           pulses: dict = None, observer=None,
            observe_every: int = 0) -> np.ndarray:
-    """Take n_steps steps of the stepper, firing pulses and the observer.
+    """Take steps 1..n_steps of the stepper, firing pulses and the observer.
 
-    A pulse at time_ms fires at boundary n, the first n >= 1 with
-    time_ms <= n*dt + 1e-9 (so a pulse at t = 0 fires after step 1),
-    before the observer sees that boundary.  The observer is called as
+    pulses maps a step in 1..n_steps to a list of (axis, angle)
+    rotations (field.rotate_spinor), fired in list order after that step
+    and before the observer sees it.  The observer is called as
     observer(n, psi) after step n for n = 0, every observe_every steps
-    (0: none in between), and n = n_steps.
-    Between these boundaries the evolver advances without stopping.
-    Returns the final field.
+    (0: none in between), and n = n_steps.  The steps between two stops
+    run as one segment, with merged kinetic half steps.  Returns the
+    final field.
     """
     if n_steps < 0 or observe_every < 0:
         raise InvalidParameter(
             f"step counts must be >= 0, got n_steps = {n_steps!r}, "
             f"observe_every = {observe_every!r}")
-    dt = evolver.dt_ms
-    pulses, n = {}, 1
-    for ev in (schedule.events if schedule is not None else ()):
-        while ev.time_ms > n * dt + 1e-9:     # first boundary at or after
-            n += 1
-        pulses.setdefault(n, []).append(ev)
+    pulses = pulses or {}
+    for n in pulses:
+        if not (isinstance(n, (int, np.integer)) and 1 <= n <= n_steps):
+            raise InvalidParameter(
+                f"pulse step {n!r} is not an integer in 1..{n_steps}")
     observed = set()
     if observer is not None:
         observer(0, psi)
         if observe_every:
             observed.update(range(observe_every, n_steps, observe_every))
         observed.add(n_steps)
-    stops = {n for n in pulses if n <= n_steps} | observed | {n_steps}
     done = 0
-    for n in sorted(stops - {0}):
-        psi = evolver.advance(psi, n - done)
-        done = n
-        for ev in pulses.get(n, ()):
-            psi = rotate_spinor(psi, ev.axis, ev.angle)
-        if n in observed:
-            observer(n, psi)
+    for stop in sorted((set(pulses) | observed | {n_steps}) - {0}):
+        psi = evolver._kinetic(psi, evolver._kin_half)
+        for k in range(done + 1, stop + 1):
+            psi = evolver.step(psi, k, last=k == stop)
+        done = stop
+        for axis, angle in pulses.get(stop, ()):
+            psi = rotate_spinor(psi, axis, angle)
+        if stop in observed:
+            observer(stop, psi)
     return psi

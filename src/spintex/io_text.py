@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .analysis import SERIES_COLUMNS, OrderParamSeries, RegionSpec
+from .analysis import SERIES_COLUMNS, OrderParamSeries, check_regions
 from .dipole import normalize_mode
 from .errors import InvalidParameter
 from .field import number_density, spin_density, thomas_fermi_density
@@ -71,10 +71,9 @@ class RunConfig:
     noise_amplitude: float = 1e-3
     cancel_pulse_rate_khz: float = 0.0
     # analysis regions
-    k_cut_rad_um: float = RegionSpec.k_cut
-    k_lo_rad_um: float = RegionSpec.k_lo
-    k_hi_rad_um: float = RegionSpec.k_hi
-    background: str = "auto"
+    k_cut_rad_um: float = 2.0 * math.pi / 25.0
+    k_lo_rad_um: float = 2.0 * math.pi / 15.0
+    k_hi_rad_um: float = 2.0 * math.pi / 6.0
     # bookkeeping
     out_dir: str = "runs/run0"
     rng_seed: int = 1234
@@ -83,15 +82,6 @@ class RunConfig:
 
     def grid(self) -> Grid2D:
         return Grid2D(nx=self.nx, nz=self.nz, lx=self.lx_um, lz=self.lz_um)
-
-    def regions(self) -> RegionSpec:
-        return RegionSpec(k_cut=self.k_cut_rad_um, k_lo=self.k_lo_rad_um,
-                          k_hi=self.k_hi_rad_um)
-
-    def resolved_background(self):
-        if self.background == "auto":
-            return "auto" if self.noise_amplitude > 0 else 0.0
-        return float(self.background)
 
     def steps(self, ms: float) -> int:
         """Whole number of dt_ms steps in ms; the run clock counts these."""
@@ -104,6 +94,9 @@ class RunConfig:
     # -- validation ----------------------------------------------------
 
     def validate(self) -> "RunConfig":
+        if not isinstance(self.kernel_mode, str):
+            raise InvalidParameter(
+                f"kernel_mode must be a string, got {self.kernel_mode!r}")
         self.kernel_mode = normalize_mode(self.kernel_mode)
         for name, kind in _FIELD_TYPES.items():
             value = getattr(self, name)
@@ -128,7 +121,8 @@ class RunConfig:
                 f"diverges), got {self.a0_nm!r} for both")
         grid = self.grid()
         try:
-            self.regions().check_grid(grid)
+            check_regions(grid, self.k_cut_rad_um, self.k_lo_rad_um,
+                          self.k_hi_rad_um)
         except InvalidParameter as exc:
             raise InvalidParameter(
                 f"k_cut_rad_um, k_lo_rad_um, k_hi_rad_um: {exc}") from None
@@ -175,20 +169,8 @@ class RunConfig:
         if not (0.0 < self.box_fill <= 1.0):
             raise InvalidParameter(
                 f"box_fill must lie in (0, 1], got {self.box_fill!r}")
-        if not isinstance(self.background, str):
-            self.background = repr(float(self.background))
-        if self.background != "auto":
-            try:
-                bg = float(self.background)
-            except ValueError:
-                raise InvalidParameter(
-                    f"background must be a number or 'auto', "
-                    f"got {self.background!r}") from None
-            if not (math.isfinite(bg) and bg >= 0):
-                raise InvalidParameter(
-                    f"background must be a finite number >= 0, "
-                    f"got {self.background!r}")
-        if not isinstance(self.rng_seed, int) or self.rng_seed < 0:
+        # type, not isinstance: a bool is an int, and meta would say True
+        if type(self.rng_seed) is not int or self.rng_seed < 0:
             raise InvalidParameter(
                 f"rng_seed must be a nonnegative integer, "
                 f"got {self.rng_seed!r}")

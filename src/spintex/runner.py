@@ -76,11 +76,13 @@ def initial_field(cfg: RunConfig, noise_rng: np.random.Generator,
 
 
 def _measure_row(t_ms: float, psi: np.ndarray, evolver: Evolver,
-                 regions, background) -> dict:
+                 cfg: RunConfig) -> dict:
     s = spin_density(psi)
-    long_p, short_p, total_p = order_parameters(power_spectrum(s),
-                                                evolver.grid, regions,
-                                                background)
+    # seed noise leaves a flat spectral floor; a noiseless run has none
+    background = "auto" if cfg.noise_amplitude > 0 else 0.0
+    long_p, short_p, total_p = order_parameters(
+        power_spectrum(s), evolver.grid, cfg.k_cut_rad_um, cfg.k_lo_rad_um,
+        cfg.k_hi_rad_um, background)
     row = {"t_ms": t_ms, "long_order": long_p, "short_order": short_p,
            "total_power": total_p,
            "n_vortices": float(len(detect_vortices(s, evolver.grid)))}
@@ -117,20 +119,19 @@ def run_simulate(cfg: RunConfig) -> RunResult:
     evolver, psi = build_evolver(cfg)
     psi = initial_field(cfg, noise_rng, psi)
 
-    schedule = None
+    pulses = None
     if cfg.cancel_pulse_rate_khz > 0:
-        schedule = make_cancellation_schedule(cfg.cancel_pulse_rate_khz,
-                                              cfg.t_final_ms, sched_rng)
+        pulses = make_cancellation_schedule(cfg.cancel_pulse_rate_khz,
+                                            cfg.t_final_ms, cfg.dt_ms,
+                                            sched_rng)
 
-    regions = cfg.regions()
-    background = cfg.resolved_background()
     n_steps = cfg.steps(cfg.t_final_ms)
     write_every = cfg.steps(cfg.snapshot_write_every_ms)
     rows = []
 
     def observer(n, field):
         t_ms = n * cfg.dt_ms
-        row = _measure_row(t_ms, field, evolver, regions, background)
+        row = _measure_row(t_ms, field, evolver, cfg)
         rows.append(row)
         if n in (0, n_steps) or (write_every and n % write_every == 0):
             write_snapshot(os.path.join(run_dir, snapshot_name(t_ms)),
@@ -139,7 +140,7 @@ def run_simulate(cfg: RunConfig) -> RunResult:
                  row["short_order"] / max(row["total_power"], 1e-30),
                  row["n_vortices"])
 
-    psi = evolve(psi, evolver, n_steps, schedule=schedule, observer=observer,
+    psi = evolve(psi, evolver, n_steps, pulses=pulses, observer=observer,
                  observe_every=cfg.steps(cfg.snapshot_every_ms))
 
     series = _series(rows)
@@ -168,8 +169,6 @@ def analyze_run(run_dir: str) -> OrderParamSeries:
     cfg = load_config(meta_path)
     digest = config_hash(cfg)
     evolver, _ = build_evolver(cfg)
-    regions = cfg.regions()
-    background = cfg.resolved_background()
 
     snaps = []
     for name in os.listdir(run_dir):
@@ -187,8 +186,7 @@ def analyze_run(run_dir: str) -> OrderParamSeries:
         raise InvalidParameter(f"{run_dir}: no snapshot files found")
     snaps.sort(key=lambda item: item[0])
 
-    rows = [_measure_row(t, psi, evolver, regions, background)
-            for t, psi in snaps]
+    rows = [_measure_row(t, psi, evolver, cfg) for t, psi in snaps]
     series = _series(rows)
     write_timeseries(os.path.join(run_dir, "analysis.csv"), series, digest)
     for r in rows:

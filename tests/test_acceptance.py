@@ -26,8 +26,8 @@ from scipy.stats import spearmanr
 
 from spintex import constants as cn
 from spintex import oracles
-from spintex.analysis import (RegionSpec, detect_vortices,
-                              dominant_wavevector, power_spectrum)
+from spintex.analysis import (detect_vortices, dominant_wavevector,
+                              power_spectrum)
 from spintex.dynamics import Evolver, evolve
 from spintex.field import imprint_helix, spin_density, transverse_state
 from spintex.grid import Grid2D
@@ -253,7 +253,7 @@ def test_criterion_4_helix_dissolution(dissolution_run):
 
     grid = cfg.grid()
     kdom = dominant_wavevector(power_spectrum(spin_density(res.psi)), grid,
-                               k_min=RegionSpec().k_cut)
+                               k_min=RunConfig().k_cut_rad_um)
     lo, hi = TWO_PI / 20.0, TWO_PI / 5.0
     # the emergent peak sits exactly on a grid mode at the band edge,
     # so the closed interval carries a pure float-rounding guard

@@ -9,7 +9,7 @@ from spintex.analysis import (
     ENERGY_KEYS,
     SERIES_COLUMNS,
     OrderParamSeries,
-    RegionSpec,
+    check_regions,
     detect_vortices,
     dominant_wavevector,
     growth_rate,
@@ -21,6 +21,8 @@ from spintex.field import imprint_helix, spin_density, transverse_state
 from spintex.grid import Grid2D
 
 TWO_PI = 2.0 * math.pi
+# the default spectral regions (k_cut, k_lo, k_hi) of RunConfig, rad/um
+REGIONS = (TWO_PI / 25.0, TWO_PI / 15.0, TWO_PI / 6.0)
 
 
 def uniform_transverse_field(grid, density):
@@ -65,43 +67,49 @@ def test_helix_power_concentrates_on_one_mode():
 
 
 # ---------------------------------------------------------------------------
-# Region spec and order parameters
+# Spectral regions and order parameters
 # ---------------------------------------------------------------------------
 
+BAD_REGIONS = [(0.0, 0.4, 1.0), (0.5, 0.4, 1.0), (0.1, 0.4, 0.4)]
+
+
 def test_region_spec_validation():
-    RegionSpec()
-    with pytest.raises(InvalidParameter):
-        RegionSpec(k_cut=0.0)
-    with pytest.raises(InvalidParameter):
-        RegionSpec(k_cut=0.5, k_lo=0.4, k_hi=1.0)
-    with pytest.raises(InvalidParameter):
-        RegionSpec(k_cut=0.1, k_lo=0.4, k_hi=0.4)
+    g = Grid2D(nx=32, nz=32, lx=32.0, lz=32.0)
+    check_regions(g, *REGIONS)
+    for bad in BAD_REGIONS:
+        with pytest.raises(InvalidParameter, match="need 0 < k_cut"):
+            check_regions(g, *bad)
+    # order_parameters refuses them too, called directly
+    p = np.ones(g.shape)
+    for bad in BAD_REGIONS:
+        with pytest.raises(InvalidParameter, match="need 0 < k_cut"):
+            order_parameters(p, g, *bad)
 
 
 def test_region_spec_grid_check():
-    regions = RegionSpec()
-    regions.check_grid(Grid2D(nx=32, nz=32, lx=32.0, lz=32.0))
+    check_regions(Grid2D(nx=32, nz=32, lx=32.0, lz=32.0), *REGIONS)
     coarse = Grid2D(nx=32, nz=32, lx=256.0, lz=256.0)
-    with pytest.raises(InvalidParameter):
-        regions.check_grid(coarse)
+    with pytest.raises(InvalidParameter, match="Nyquist"):
+        check_regions(coarse, *REGIONS)
+    with pytest.raises(InvalidParameter, match="Nyquist"):
+        order_parameters(np.ones(coarse.shape), coarse, *REGIONS)
 
 
 def test_order_parameters_helix_placement():
     g = Grid2D(nx=64, nz=64, lx=32.0, lz=32.0)
-    regions = RegionSpec()
     dens = 2.5
     total = dens**2 * g.nx * g.nz
 
     # pitch 32: kappa = 0.196 below k_cut, all power long-range
     m_long = spin_density(helix_field(g, dens, pitch=32.0))
-    lo, sh, tot = order_parameters(power_spectrum(m_long), g, regions)
+    lo, sh, tot = order_parameters(power_spectrum(m_long), g, *REGIONS)
     assert abs(lo - total) < 1e-9 * total
     assert sh < 1e-9 * total
     assert abs(tot - total) < 1e-9 * total
 
     # pitch 8: kappa = 0.785 inside the short annulus
     m_short = spin_density(helix_field(g, dens, pitch=8.0))
-    lo, sh, tot = order_parameters(power_spectrum(m_short), g, regions)
+    lo, sh, tot = order_parameters(power_spectrum(m_short), g, *REGIONS)
     assert lo < 1e-9 * total
     assert abs(sh - total) < 1e-9 * total
     assert abs(tot - total) < 1e-9 * total
@@ -109,30 +117,28 @@ def test_order_parameters_helix_placement():
 
 def test_order_parameters_background_subtraction():
     g = Grid2D(nx=64, nz=64, lx=32.0, lz=32.0)
-    regions = RegionSpec()
     m = spin_density(helix_field(g, 2.0, pitch=8.0))
     p = power_spectrum(m)
-    ref = order_parameters(p, g, regions)
+    ref = order_parameters(p, g, *REGIONS)
 
     floor = 0.37
-    got = order_parameters(p + floor, g, regions, background=floor)
+    got = order_parameters(p + floor, g, *REGIONS, background=floor)
     for a, b in zip(got, ref):
         assert abs(a - b) < 1e-9 * max(1.0, abs(b))
 
     with pytest.raises(InvalidParameter):
-        order_parameters(p, g, regions, background=-0.1)
+        order_parameters(p, g, *REGIONS, background=-0.1)
     with pytest.raises(InvalidParameter):
-        order_parameters(p, g, regions, background="median")
+        order_parameters(p, g, *REGIONS, background="median")
 
 
 def test_order_parameters_auto_background():
     g = Grid2D(nx=64, nz=64, lx=32.0, lz=32.0)
-    regions = RegionSpec()
     floor = 0.4
     p = np.full(g.shape, floor)
     kz_spike = int(round(g.lz / 8.0))     # |k| inside the annulus
     p[0, kz_spike] += 123.0
-    lo, sh, tot = order_parameters(p, g, regions, background="auto")
+    lo, sh, tot = order_parameters(p, g, *REGIONS, background="auto")
     assert abs(lo) < 1e-9
     assert abs(sh - 123.0) < 1e-9
     assert abs(tot - 123.0) < 1e-9
@@ -141,9 +147,9 @@ def test_order_parameters_auto_background():
 def test_auto_background_needs_far_modes():
     # every mode of this coarse grid sits within 2 k_hi of the origin
     g = Grid2D(nx=8, nz=8, lx=8.0, lz=8.0)
-    regions = RegionSpec(k_cut=0.3, k_lo=0.5, k_hi=2.3)
-    with pytest.raises(InvalidParameter):
-        order_parameters(np.ones(g.shape), g, regions, background="auto")
+    with pytest.raises(InvalidParameter, match="beyond 2 k_hi"):
+        order_parameters(np.ones(g.shape), g, 0.3, 0.5, 2.3,
+                         background="auto")
 
 
 def test_dominant_wavevector_ignores_central_disc():

@@ -97,22 +97,36 @@ def test_analyze_truncated_snapshot_is_an_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_analyze_refuses_a_run_written_before_trap_y_hz_went(tmp_path):
-    # meta files of earlier versions list trap_y_hz; such a run is re-run,
-    # not read under a guessed config
+def refused_meta_key(tmp_path, after_key, line):
+    """stderr of `spintex analyze` on a run whose meta also lists `line`."""
     out_dir = tmp_path / "oldrun"
     assert main(["simulate", "--config", write_small(tmp_path),
                  "--out", str(out_dir)]) == 0
     meta = out_dir / "meta"
-    meta.write_text(meta.read_text().replace(
-        "trap_x_hz = 39.0\n", "trap_x_hz = 39.0\ntrap_y_hz = 440.0\n"))
+    text, n = re.subn(rf"^({after_key} = .*\n)", rf"\g<1>{line}\n",
+                      meta.read_text(), flags=re.M)
+    assert n == 1
+    meta.write_text(text)
     proc = run_cli("analyze", str(out_dir))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert str(meta) in proc.stderr
-    assert "unknown key 'trap_y_hz'" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (out_dir / "analysis.csv").exists()
+    return proc.stderr
+
+
+def test_analyze_refuses_a_run_written_before_trap_y_hz_went(tmp_path):
+    # meta files of earlier versions list trap_y_hz; such a run is re-run,
+    # not read under a guessed config
+    stderr = refused_meta_key(tmp_path, "trap_x_hz", "trap_y_hz = 440.0")
+    assert "unknown key 'trap_y_hz'" in stderr
+
+
+def test_analyze_refuses_a_run_written_before_background_went(tmp_path):
+    # as for trap_y_hz: no retired-key list, the run is re-run
+    stderr = refused_meta_key(tmp_path, "k_hi_rad_um", "background = auto")
+    assert "unknown key 'background'" in stderr
 
 
 def test_analyze_command(tmp_path, capsys):

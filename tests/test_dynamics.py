@@ -6,8 +6,7 @@ from scipy import stats
 
 from spintex import constants as cn
 from spintex import dynamics, oracles
-from spintex.dynamics import (Evolver, PulseEvent, PulseSchedule, evolve,
-                              make_cancellation_schedule)
+from spintex.dynamics import Evolver, evolve, make_cancellation_schedule
 from spintex.errors import InvalidParameter, NumericalFailure
 from spintex.field import (add_noise, imprint_helix, number_density,
                            rotate_spinor, spin_density, transverse_state)
@@ -57,7 +56,7 @@ def test_free_particle_plane_wave():
     k = 2 * math.pi * 3 / g.lz
     psi = np.zeros((3, g.nx, g.nz), dtype=complex)
     psi[1] = np.exp(1j * k * g.z)[None, :]
-    out = ev.advance(psi, 1)
+    out = evolve(psi, ev, 1)
     expected = psi * np.exp(-1j * cn.KIN_COEF * k * k * 0.05)
     assert np.abs(out - expected).max() < 1e-12
     # single-step norm error
@@ -100,7 +99,7 @@ def test_single_site_oscillation_vs_oracle():
     worst = 0.0
     sz_max = 0.0
     for i in range(1, len(t)):
-        psi = ev.advance(psi, 1)
+        psi = evolve(psi, ev, 1)
         worst = max(worst, np.abs(psi[:, 0, 0] - ref[i]).max()
                     / math.sqrt(NBAR))
         sz_max = max(sz_max, abs(spin_density(psi)[2].max()) / NBAR)
@@ -224,7 +223,7 @@ def test_residual_gradient_winds():
     g = Grid2D(nx=8, nz=64, lx=4.0, lz=60.0)
     grad = 2000.0
     ev = make_evolver(g, q=0.0, c0=0.0, c2=0.0, mode="off", gradient=grad)
-    psi = ev.advance(uniform_transverse(g), 1)
+    psi = evolve(uniform_transverse(g), ev, 1)
     s = spin_density(psi)
     phase = np.unwrap(np.angle(s[0, 0, :] + 1j * s[1, 0, :]))
     slopes = np.diff(phase) / g.dz
@@ -242,7 +241,7 @@ def test_nan_detection(monkeypatch):
     with pytest.raises(NumericalFailure,
                        match=r"in step 1 \(t = 0\.05 ms\), first at "
                              r"site \(ix, iz\) = \(0, 0\)"):
-        ev.advance(psi, 1)
+        evolve(psi, ev, 1)
     # a failure born in the local step is reported where it began
     # (the dipolar convolution would spread it, so dipoles are off)
     potential = np.zeros(g.shape)
@@ -251,7 +250,7 @@ def test_nan_detection(monkeypatch):
     with pytest.raises(NumericalFailure,
                        match=r"in step 1 \(t = 0\.05 ms\), first at "
                              r"site \(ix, iz\) = \(3, 5\)"):
-        ev.advance(uniform_transverse(g), 3)
+        evolve(uniform_transverse(g), ev, 3)
     # the same report when the bad site lies in the last of several
     # blocks (3 + 3 + 2 rows)
     monkeypatch.setattr(dynamics, "_BLOCK_SITES", 24)
@@ -261,22 +260,36 @@ def test_nan_detection(monkeypatch):
     with pytest.raises(NumericalFailure,
                        match=r"in step 1 \(t = 0\.05 ms\), first at "
                              r"site \(ix, iz\) = \(7, 2\)"):
-        ev.advance(uniform_transverse(g), 3)
+        evolve(uniform_transverse(g), ev, 3)
 
 
-def test_advance_in_one_segment_equals_single_steps():
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_a_failure_names_the_step_of_its_own_evolve_call():
+    # one evolver serves many evolve calls; the step clock is evolve's
+    g = Grid2D(nx=8, nz=8, lx=4.0, lz=4.0)
+    ev = make_evolver(g)
+    evolve(uniform_transverse(g), ev, 5)
+    psi = uniform_transverse(g)
+    psi[1, 2, 3] = np.nan
+    with pytest.raises(NumericalFailure, match=r"in step 1 \(t = 0\.05 ms\)"):
+        evolve(psi, ev, 3)
+
+
+def test_evolve_in_one_segment_equals_single_steps():
     g = Grid2D(nx=16, nz=32, lx=8.0, lz=32.0)
     ev = make_evolver(g)
     psi0 = add_noise(imprint_helix(uniform_transverse(g), g,
                                    2 * math.pi / 16.0),
                      1e-2, np.random.default_rng(4))
-    merged = ev.advance(psi0, 10)
+    merged = evolve(psi0, ev, 10)
     single = psi0
     for _ in range(10):
-        single = ev.advance(single, 1)
+        single = evolve(single, ev, 1)
     assert np.abs(merged - single).max() < 1e-12 * np.abs(single).max()
-    with pytest.raises(InvalidParameter):
-        ev.advance(psi0, 0)
+    # stopping for the observer after every step is ten one-step segments
+    stopped = evolve(psi0, ev, 10, observer=lambda n, p: None,
+                     observe_every=1)
+    assert np.array_equal(stopped, single)
 
 
 def test_blocks_of_rows_do_not_change_the_step(monkeypatch):
@@ -290,7 +303,7 @@ def test_blocks_of_rows_do_not_change_the_step(monkeypatch):
     for block_sites in (g.nx * g.nz, 24):
         monkeypatch.setattr(dynamics, "_BLOCK_SITES", block_sites)
         ev = make_evolver(g, gradient=0.5, potential=potential)
-        results.append(ev.advance(psi0, 5))
+        results.append(evolve(psi0, ev, 5))
     assert np.array_equal(results[0], results[1])
 
 
@@ -310,69 +323,65 @@ def test_each_step_is_one_call_with_two_local_steps(monkeypatch):
     monkeypatch.setattr(dynamics, "zeeman_like_apply", counted_local)
     g = Grid2D(nx=8, nz=8, lx=4.0, lz=4.0)
     ev = make_evolver(g)
-    sched = PulseSchedule(events=(PulseEvent(0.12, (0.0, 1.0, 0.0),
-                                             math.pi / 2),),
-                          t_final_ms=0.35)
-    evolve(uniform_transverse(g), ev, 7, schedule=sched,
+    pulses = {3: [((0.0, 1.0, 0.0), math.pi / 2)]}
+    evolve(uniform_transverse(g), ev, 7, pulses=pulses,
            observer=lambda n, p: None, observe_every=3)
     assert calls == {"step": 7, "local": 14}
     # on several blocks: two local steps per block and step, so 2 x 3
     # blocks (3 + 3 + 2 rows of 8 sites) x 7 steps
     monkeypatch.setattr(dynamics, "_BLOCK_SITES", 24)
     calls.update(step=0, local=0)
-    evolve(uniform_transverse(g), ev, 7, schedule=sched,
+    evolve(uniform_transverse(g), ev, 7, pulses=pulses,
            observer=lambda n, p: None, observe_every=3)
     assert calls == {"step": 7, "local": 2 * 3 * 7}
 
 
-def test_pulses_land_on_the_first_boundary_at_or_after_them(monkeypatch):
-    # evolve against a stand-in stepper that only counts steps, so the
-    # recorded index is the step boundary where each pulse fired
+def test_pulses_land_on_the_first_boundary_at_or_after_them():
+    # make_cancellation_schedule against a stand-in RNG whose exponential
+    # draws are chosen gaps between pulse times
     dt = 0.05
 
-    class Counter:
-        dt_ms = dt
-        done = 0
+    class Gaps:
+        def __init__(self, times):
+            self.gaps = list(np.diff([0.0] + times)) + [1.0]
+            self.draws = []
 
-        def advance(self, psi, n):
-            self.done += n
-            return psi
+        def exponential(self, scale):
+            self.draws.append("exponential")
+            return self.gaps.pop(0)
 
-    def first_boundary(t, n_steps):
+        def uniform(self, low, high):
+            self.draws.append("uniform")
+            return 0.0
+
+    def first_boundary(t):
         # the rule of the step-by-step loop: after step n, fire every
-        # pending event with time_ms <= n*dt + 1e-9
-        return next((n for n in range(1, n_steps + 1)
-                     if t <= n * dt + 1e-9), None)
+        # pending pulse with time <= n*dt + 1e-9
+        return next(n for n in range(1, 100) if t <= n * dt + 1e-9)
 
-    def fired_at(times, n_steps=8):
-        counter, fired = Counter(), []
-
-        def record(psi, axis, angle):
-            fired.append(counter.done)
-            return psi
-
-        monkeypatch.setattr(dynamics, "rotate_spinor", record)
-        sched = PulseSchedule(events=tuple(PulseEvent(t, (1.0, 0.0, 0.0), 1.0)
-                                           for t in times), t_final_ms=0.45)
-        evolve(np.zeros((3, 8, 8), complex), counter, n_steps,
-               schedule=sched, observer=lambda n, p: None, observe_every=3)
-        assert counter.done == n_steps
-        return fired
+    def fired_at(times):
+        rng = Gaps(times)
+        pulses = make_cancellation_schedule(1.0, 0.45, dt, rng)
+        # one exponential draw, then one uniform draw per pulse
+        assert rng.draws == ["exponential", "uniform"] * len(times) \
+            + ["exponential"]
+        assert all(p == ((1.0, 0.0, 0.0), math.pi / 2)
+                   for ps in pulses.values() for p in ps)
+        return [n for n in sorted(pulses) for _ in pulses[n]]
 
     times = [0.0, 1e-10, 0.15, 0.15 + 1e-10, 0.15 - 1e-10, 0.15 + 2e-9]
     for k in range(1, 9):
         times += [k * dt, k * dt + 1e-10, k * dt - 1e-10, k * dt + 2e-9]
     for t in times:
-        expected = first_boundary(t, 8)
-        assert fired_at([t]) == ([] if expected is None else [expected]), t
-    # several events, two of them between the same pair of boundaries
+        assert fired_at([t]) == [first_boundary(t)], t
+    # several pulses, two of them between the same pair of boundaries
     several = [0.01, 0.11, 0.12, 0.15 + 2e-9, 0.3]
-    assert fired_at(several) == [first_boundary(t, 8) for t in several] \
+    assert fired_at(several) == [first_boundary(t) for t in several] \
         == [1, 3, 3, 4, 6]
     # pinned cases: on the boundary, within the clock's 1e-9, past it
-    assert [first_boundary(t, 8) for t in (0.0, 0.15, 3 * dt + 1e-10,
-                                           3 * dt + 2e-9, 8 * dt + 2e-9)] \
-        == [1, 3, 3, 4, None]
+    assert [first_boundary(t) for t in (0.0, 0.15, 3 * dt + 1e-10,
+                                        3 * dt + 2e-9, 8 * dt + 2e-9)] \
+        == [1, 3, 3, 4, 9]
 
 
 def test_energy_per_atom_requires_atoms():
@@ -383,51 +392,60 @@ def test_energy_per_atom_requires_atoms():
 
 
 def test_pulse_schedule_validation():
-    ev1 = PulseEvent(time_ms=1.0, axis=(1.0, 0.0, 0.0), angle=math.pi / 2)
-    ev2 = PulseEvent(time_ms=0.5, axis=(0.0, 1.0, 0.0), angle=math.pi / 2)
-    with pytest.raises(InvalidParameter):
-        PulseSchedule(events=(ev1, ev2), t_final_ms=2.0)
-    with pytest.raises(InvalidParameter):
-        PulseSchedule(events=(ev1,), t_final_ms=0.5)
-    with pytest.raises(InvalidParameter):
-        make_cancellation_schedule(0.0, 100.0, 1)
-    with pytest.raises(InvalidParameter):
-        make_cancellation_schedule(1.0, -5.0, 1)
+    g = Grid2D(nx=8, nz=8, lx=4.0, lz=4.0)
+    ev = make_evolver(g, q=0.0, c0=0.0, c2=0.0, mode="off")
+    psi = uniform_transverse(g)
+    rng = np.random.default_rng(1)
+    # an infinite rate would draw zero gaps forever
+    for rate in (0.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidParameter, match="pulse rate"):
+            make_cancellation_schedule(rate, 100.0, 0.05, rng)
+    with pytest.raises(InvalidParameter, match="t_final_ms"):
+        make_cancellation_schedule(1.0, -5.0, 0.05, rng)
+    with pytest.raises(InvalidParameter, match="dt_ms"):
+        make_cancellation_schedule(1.0, 100.0, 0.0, rng)
+    # a pulse step that evolve would never reach is refused, not dropped
+    for step in (0, 8, -1, 2.0, "3"):
+        with pytest.raises(InvalidParameter,
+                           match=f"pulse step {step!r} is not an integer "
+                                 f"in 1..7"):
+            evolve(psi, ev, 7, pulses={step: [((1.0, 0.0, 0.0), 1.0)]})
     nan, inf = float("nan"), float("inf")
-    for field, bad in (("time_ms", PulseEvent(nan, (1.0, 0.0, 0.0), 1.0)),
-                       ("time_ms", PulseEvent(-inf, (1.0, 0.0, 0.0), 1.0)),
-                       ("axis", PulseEvent(0.5, (nan, 0.0, 0.0), 1.0)),
-                       ("axis", PulseEvent(0.5, (1.0, inf, 0.0), 1.0)),
-                       ("angle", PulseEvent(0.5, (1.0, 0.0, 0.0), nan)),
-                       ("angle", PulseEvent(0.5, (1.0, 0.0, 0.0), inf))):
-        with pytest.raises(InvalidParameter, match=f"pulse 1: {field}"):
-            PulseSchedule(events=(ev2, bad), t_final_ms=2.0)
-    psi = uniform_transverse(Grid2D(nx=8, nz=8, lx=4.0, lz=4.0))
     for axis, angle, field in (((nan, 0.0, 0.0), 1.0, "axis"),
                                ((1.0, 0.0, -inf), 1.0, "axis"),
                                ((1.0, 0.0, 0.0), nan, "angle"),
                                ((1.0, 0.0, 0.0), -inf, "angle")):
         with pytest.raises(InvalidParameter, match=f"rotation {field}"):
             rotate_spinor(psi, axis, angle)
+        with pytest.raises(InvalidParameter, match=f"rotation {field}"):
+            evolve(psi, ev, 7, pulses={2: [(axis, angle)]})
 
 
 def test_cancellation_schedule_statistics():
     # fixed seed set: a Poisson(200) count occasionally leaves the 3
     # sigma band (seed 22 gives 245), so the band check uses a frozen
     # block of seeds verified to behave typically
-    counts = [len(make_cancellation_schedule(1.0, 200.0, seed))
-              for seed in range(100, 130)]
+    def train(rate, t_final, seed):
+        pulses = make_cancellation_schedule(rate, t_final, 0.05,
+                                            np.random.default_rng(seed))
+        return [p for n in sorted(pulses) for p in pulses[n]]
+
+    counts = [len(train(1.0, 200.0, seed)) for seed in range(100, 130)]
     lo, hi = 200 - 3 * math.sqrt(200), 200 + 3 * math.sqrt(200)
     assert all(lo <= c <= hi for c in counts)
     assert 190 < np.mean(counts) < 210
     # reproducible from the seed
-    a = make_cancellation_schedule(1.5, 100.0, 42)
-    b = make_cancellation_schedule(1.5, 100.0, 42)
-    assert a.events == b.events
+    a = make_cancellation_schedule(1.5, 100.0, 0.05,
+                                   np.random.default_rng(42))
+    b = make_cancellation_schedule(1.5, 100.0, 0.05,
+                                   np.random.default_rng(42))
+    assert a == b
+    # every step of the run, 1..2000, can hold pulses, and no other
+    assert min(a) >= 1 and max(a) <= 2000
     # pi/2 pulses about unit axes in the spin x-y plane
-    big = make_cancellation_schedule(1.0, 10000.0, 9)
-    axes = np.array([e.axis for e in big.events])
-    angles = np.array([e.angle for e in big.events])
+    big = train(1.0, 10000.0, 9)
+    axes = np.array([axis for axis, _ in big])
+    angles = np.array([angle for _, angle in big])
     assert np.abs(angles - math.pi / 2).max() == 0.0
     assert np.abs(axes[:, 2]).max() == 0.0
     assert np.abs(np.hypot(axes[:, 0], axes[:, 1]) - 1.0).max() < 1e-12
@@ -436,9 +454,6 @@ def test_cancellation_schedule_statistics():
                                          scale=2 * math.pi).cdf)
     assert len(big) >= 1e4 * 0.9
     assert ks.pvalue > 0.01
-    times = np.array([e.time_ms for e in big.events])
-    assert np.all(np.diff(times) > 0)
-    assert times[0] >= 0.0 and times[-1] <= 10000.0
 
 
 def test_evolve_contract():
@@ -466,21 +481,40 @@ def test_evolve_applies_pulse_at_next_boundary():
     g = Grid2D(nx=8, nz=8, lx=4.0, lz=4.0)
     ev = make_evolver(g, q=0.0, c0=0.0, c2=0.0, mode="off")
     psi = uniform_transverse(g)
-    sched = PulseSchedule(events=(PulseEvent(0.12, (0.0, 1.0, 0.0),
-                                             math.pi / 2),),
-                          t_final_ms=0.3)
+    pulses = {3: [((0.0, 1.0, 0.0), math.pi / 2)]}
     polar = {}
 
     def watch(n, p):
         polar[round(n * ev.dt_ms, 2)] = spin_density(p)[2].mean() / NBAR
 
-    evolve(psi, ev, 6, schedule=sched, observer=watch, observe_every=1)
+    evolve(psi, ev, 6, pulses=pulses, observer=watch, observe_every=1)
     assert abs(polar[0.10]) < 1e-12            # before the pulse
     assert abs(abs(polar[0.15]) - 1.0) < 1e-12  # rotated out of plane
     # the pulse is a passive rotation: it must match rotate_spinor
     direct = rotate_spinor(psi, (0.0, 1.0, 0.0), math.pi / 2)
     assert spin_density(direct)[2].mean() / NBAR \
         == pytest.approx(polar[0.15], abs=1e-12)
+
+
+def test_a_steps_pulses_fire_in_order_after_it_and_before_the_observer():
+    g = Grid2D(nx=8, nz=16, lx=4.0, lz=8.0)
+    ev = make_evolver(g)
+    psi0 = add_noise(imprint_helix(uniform_transverse(g), g,
+                                   2 * math.pi / 8.0),
+                     1e-2, np.random.default_rng(8))
+    turns = [((0.0, 1.0, 0.0), math.pi / 2), ((1.0, 0.0, 0.0), math.pi / 3)]
+    seen = {}
+    out = evolve(psi0, ev, 4, pulses={2: turns},
+                 observer=lambda n, p: seen.setdefault(n, p), observe_every=2)
+    assert sorted(seen) == [0, 2, 4]
+    before = evolve(psi0, ev, 2)
+    in_order = rotate_spinor(rotate_spinor(before, *turns[0]), *turns[1])
+    assert np.array_equal(seen[2], in_order)
+    assert np.array_equal(out, evolve(in_order, ev, 2))
+    # the two turns do not commute, so the order is seen
+    reversed_order = rotate_spinor(rotate_spinor(before, *turns[1]),
+                                   *turns[0])
+    assert np.abs(reversed_order - in_order).max() > 0.1 * np.abs(before).max()
 
 
 def test_cancellation_pulses_null_mean_dipolar_energy():
@@ -494,9 +528,10 @@ def test_cancellation_pulses_null_mean_dipolar_energy():
     means = {}
     for label, sched in (
             ("plain", None),
-            ("pulsed", make_cancellation_schedule(1.5, 100.0, seed=9))):
+            ("pulsed", make_cancellation_schedule(
+                1.5, 100.0, ev.dt_ms, np.random.default_rng(9)))):
         ed = []
-        evolve(psi0.copy(), ev, 2000, schedule=sched,  # 100 ms
+        evolve(psi0.copy(), ev, 2000, pulses=sched,  # 100 ms
                observer=lambda n, p: ed.append(
                    ev.energy_per_atom(p)["e_dipole"]),
                observe_every=5)

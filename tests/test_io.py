@@ -92,8 +92,6 @@ def test_parse_errors_name_the_key():
         parse_config("rng_seed = -3")
     with pytest.raises(InvalidParameter, match="kernel mode"):
         parse_config("kernel_mode = secular")
-    with pytest.raises(InvalidParameter, match="background"):
-        parse_config("background = froggy")
 
 
 def test_profile_potential_pairing():
@@ -109,7 +107,10 @@ def test_profile_potential_pairing():
     ("lx_um", "-4", "lx_um must be positive"),
     ("lz_um", "0", "lz_um must be positive"),
     ("nx", "12", "nx must be a power of two"),
+    ("k_cut_rad_um", "0", "k_cut_rad_um.*need 0 < k_cut < k_lo < k_hi"),
     ("k_lo_rad_um", "0.1", "k_lo_rad_um.*need 0 < k_cut < k_lo < k_hi"),
+    ("k_lo_rad_um", repr(RunConfig().k_hi_rad_um),
+     "k_lo_rad_um.*need 0 < k_cut < k_lo < k_hi"),
     ("k_hi_rad_um", "9", "k_hi_rad_um.*exceeds the grid Nyquist"),
 ])
 def test_grid_and_region_errors_name_the_field(key, raw, message):
@@ -147,7 +148,7 @@ FLOAT_FIELDS = [f.name for f in dataclasses.fields(RunConfig)
                 if f.type is float]
 
 
-@pytest.mark.parametrize("key", FLOAT_FIELDS + ["background"])
+@pytest.mark.parametrize("key", FLOAT_FIELDS)
 def test_non_finite_values_rejected(key):
     for raw in ("nan", "inf"):
         with pytest.raises(InvalidParameter, match=key):
@@ -170,20 +171,39 @@ def test_snapshot_cadence_pairing():
     assert cfg.snapshot_write_every_ms == 12.5
 
 
-def test_resolved_background():
-    cfg = parse_config("")
-    assert cfg.resolved_background() == "auto"
-    cfg = parse_config("noise_amplitude = 0")
-    assert cfg.resolved_background() == 0.0
-    cfg = parse_config("background = 0.5")
-    assert cfg.resolved_background() == 0.5
+@pytest.mark.parametrize("key, value, message", [
+    ("rng_seed", True, "rng_seed must be a nonnegative integer"),
+    ("rng_seed", False, "rng_seed must be a nonnegative integer"),
+    ("kernel_mode", None, "kernel_mode must be a string"),
+    ("kernel_mode", 3, "kernel_mode must be a string"),
+])
+def test_validate_names_a_field_of_the_wrong_type(key, value, message):
+    with pytest.raises(InvalidParameter, match=message):
+        RunConfig(**{key: value}).validate()
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"rng_seed": 0, "kernel_mode": " Bare ", "dt_ms": 0.025},
+    {"nx": 64, "nz": 128, "lx_um": 32, "lz_um": 60, "profile": "uniform",
+     "potential": "none", "helix_pitch_um": 50, "noise_amplitude": 0,
+     "cancel_pulse_rate_khz": 1.5, "kernel_mode": "OFF"},
+    {"nx": 16, "nz": 64, "trap_x_hz": 39, "k_cut_rad_um": 0.1,
+     "k_lo_rad_um": 0.2, "k_hi_rad_um": 0.4, "t_final_ms": 5,
+     "snapshot_every_ms": 1.25, "snapshot_write_every_ms": 2.5},
+])
+def test_an_accepted_config_reads_back_with_its_hash(overrides):
+    # what validate accepts, meta must spell so that parse_config agrees
+    cfg = RunConfig(**overrides).validate()
+    assert config_hash(parse_config(serialize_config(cfg))) \
+        == config_hash(cfg)
 
 
 def test_config_round_trip():
     text = ("nx = 64\nnz = 128\nlx_um = 32\nlz_um = 60\n"
             "kernel_mode = bare\nprofile = uniform\npotential = none\n"
             "helix_pitch_um = 50\ncancel_pulse_rate_khz = 1.5\n"
-            "background = 0.25\nout_dir = runs/abc\nrng_seed = 7\n")
+            "out_dir = runs/abc\nrng_seed = 7\n")
     cfg = parse_config(text)
     assert cfg.out_dir == "runs/abc"
     serialized = serialize_config(cfg)
@@ -199,7 +219,7 @@ def test_config_hash_tracks_content():
     b = parse_config("rng_seed = 4321")
     ha, hb = config_hash(a), config_hash(b)
     assert ha != hb
-    assert ha == "4405093a4be1"     # meta files of the defaults still match
+    assert ha == "6c2e3ebd5629"     # meta files of the defaults still match
     assert len(ha) == 12
     int(ha, 16)
     # where a run is written is not part of what it is
@@ -375,7 +395,7 @@ def test_meta_and_done_markers(tmp_path):
             if ln.strip() and not ln.startswith("#")]
     assert keys == [f.name for f in dataclasses.fields(RunConfig)
                     if f.name != "out_dir"]
-    assert len(keys) == 30
+    assert len(keys) == 29
     assert not is_complete(run_dir)
     mark_done(run_dir)
     assert is_complete(run_dir)
