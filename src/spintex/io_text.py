@@ -129,6 +129,12 @@ class RunConfig:
         if not (0.0 < self.dt_ms <= 0.2):
             raise InvalidParameter(
                 f"dt_ms must lie in (0, 0.2], got {self.dt_ms!r}")
+        # the stepper resolves no more than one pulse per step
+        if self.cancel_pulse_rate_khz * self.dt_ms > 1.0:
+            raise InvalidParameter(
+                f"cancel_pulse_rate_khz * dt_ms must be <= 1 (one pulse per "
+                f"step on average), got {self.cancel_pulse_rate_khz!r} kHz "
+                f"at dt_ms = {self.dt_ms!r}")
         counts = {}
         for key in ("t_final_ms", "snapshot_every_ms",
                     "snapshot_write_every_ms"):

@@ -9,6 +9,13 @@ recomputes the same quantities from stored snapshots.
 Progress lines (one per observation, one per sweep pitch) go to the
 "spintex" logger at INFO level; nothing is printed unless a handler is
 attached, as the command-line interface does.
+
+run_sweep_kappa runs its pitches on one lane per usable CPU: lane 0 in
+the calling process, the others in worker processes.  The workers hold
+their progress records back, and the caller replays every record in
+pitch order, so the lines and files are those of a one-after-another
+sweep.  If pitches fail, the first in pitch order is raised, no
+gamma.csv is written, and no worker outlives the call.
 """
 
 import logging
@@ -200,12 +207,51 @@ def analyze_run(run_dir: str) -> OrderParamSeries:
 # Pitch sweep
 # ---------------------------------------------------------------------------
 
+def _run_pitch(cfg: RunConfig, level: int) -> tuple:
+    """One sweep pitch with its `spintex` records at level held back.
+
+    Returns (series, records) for the caller to replay in pitch order.
+    The entry point of the sweep's worker processes.  A worker may have
+    inherited the caller's handlers or none at all, so the records go
+    to no handler but the held-back list, and level is passed in.
+    """
+    from logging.handlers import BufferingHandler   # sweeps only
+    held = BufferingHandler(math.inf)       # never flushes on its own
+    saved = log.handlers, log.propagate, log.level
+    log.handlers, log.propagate = [held], False
+    log.setLevel(level)
+    try:
+        return run_simulate(cfg).series, held.buffer
+    finally:
+        log.handlers, log.propagate = saved[:2]
+        log.setLevel(saved[2])
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where there is one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sweep_kappa(cfg: RunConfig, pitches) -> list:
     """One seeded run per helix pitch; returns [(kappa, gamma_per_s)].
 
     Writes gamma.csv under the config's out_dir with each run in a
     pitch_<um> subdirectory (named with %g, so pitches that print alike
-    are rejected).  All runs share the config's seed.
+    are rejected).  All runs share the config's seed.  Every pitch's
+    config is validated before any directory is made.
+
+    The pitches run on min(usable CPUs, len(pitches)) lanes, pitch i on
+    lane i % lanes: lane 0 in this process, the others in a process pool.
+    Each run is a pure function of its config, so the files are those
+    of running the pitches one after another, and so are the `spintex`
+    progress lines: per pitch its observations, then its gamma line,
+    replayed in pitch order as the pitches finish.  Once a pitch fails,
+    the later pitches not yet started are cancelled, the running ones
+    are waited for, and the first failure in pitch order is raised with
+    its type and message; gamma.csv is not written.  No worker process
+    outlives the call.
     """
     pitches = list(pitches)
     if len(pitches) < 2:
@@ -218,17 +264,73 @@ def run_sweep_kappa(cfg: RunConfig, pitches) -> list:
         raise InvalidParameter(
             f"pitches {pitches!r} share run directory names {names!r}")
     base = cfg.out_dir
+    subs = [replace(cfg, helix_pitch_um=float(pitch),
+                    out_dir=os.path.join(base, name)).validate()
+            for pitch, name in zip(pitches, names)]
     os.makedirs(base, exist_ok=True)
+
+    n = len(subs)
+    lanes = min(_usable_cpus(), n)
+    level = log.getEffectiveLevel()
+    outcomes = {}   # pitch index -> (series, held-back records) or failure
+    futures = {}    # pitch index -> future, for lanes 1..
     out_rows = []
-    for pitch, name in zip(pitches, names):
-        sub = replace(cfg, helix_pitch_um=float(pitch),
-                      out_dir=os.path.join(base, name))
-        result = run_simulate(sub)
-        gamma = growth_rate(result.series)
-        kappa = 2.0 * math.pi / pitch
-        out_rows.append((kappa, gamma))
-        log.info("pitch %6.1f um   kappa %.4f rad/um   gamma %.4f /s",
-                 pitch, kappa, gamma)
+
+    def report(wait: bool) -> None:
+        """Replay finished pitches' lines and fit their gamma in pitch
+        order, up to the first unfinished pitch; raise a failure reached."""
+        while len(out_rows) < n:
+            i = len(out_rows)
+            if i in futures and (wait or futures[i].done()):
+                outcomes[i] = futures.pop(i).result()
+            if i not in outcomes:
+                return
+            outcome = outcomes.pop(i)
+            if isinstance(outcome, Exception):
+                raise outcome
+            series, records = outcome
+            for record in records:
+                if log.isEnabledFor(record.levelno):
+                    log.handle(record)
+            gamma = growth_rate(series)
+            kappa = 2.0 * math.pi / pitches[i]
+            out_rows.append((kappa, gamma))
+            log.info("pitch %6.1f um   kappa %.4f rad/um   gamma %.4f /s",
+                     pitches[i], kappa, gamma)
+
+    pool = None
+    if lanes > 1:
+        # imported here: `import spintex` loads no process machinery
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(lanes - 1)
+    try:
+        for i in range(n):
+            if i % lanes:
+                futures[i] = pool.submit(_run_pitch, subs[i], level)
+        failed = n      # the first known failure; later pitches need not run
+        for i in range(0, n, lanes):
+            report(wait=False)
+            failed = min((j for j, f in futures.items()
+                          if f.done() and f.exception() is not None),
+                         default=n)
+            if failed < i:
+                break
+            try:
+                if len(out_rows) == i:      # all earlier pitches reported
+                    outcomes[i] = run_simulate(subs[i]).series, []
+                else:
+                    outcomes[i] = _run_pitch(subs[i], level)
+            except Exception as exc:    # raised in pitch order by report
+                outcomes[i], failed = exc, i
+                break
+        for j, f in futures.items():
+            if j > failed:
+                f.cancel()      # only one that has not started
+        report(wait=True)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
     path = os.path.join(base, "gamma.csv")
     with atomic_text(path) as fh:
         fh.write(f"# config = {config_hash(cfg)}\n")

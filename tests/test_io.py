@@ -182,6 +182,22 @@ def test_validate_names_a_field_of_the_wrong_type(key, value, message):
         RunConfig(**{key: value}).validate()
 
 
+@pytest.mark.parametrize("rate_khz, dt_ms", [
+    (1e300, 0.05), (20.5, 0.05), (5.5, 0.2)])
+def test_pulse_rate_above_one_per_step_rejected(rate_khz, dt_ms):
+    with pytest.raises(InvalidParameter,
+                       match=r"cancel_pulse_rate_khz \* dt_ms must be <= 1"):
+        RunConfig(cancel_pulse_rate_khz=rate_khz, dt_ms=dt_ms).validate()
+
+
+@pytest.mark.parametrize("rate_khz, dt_ms", [
+    (1.5, 0.05), (19.5, 0.05), (5.0, 0.2), (1e3, 0.001)])
+def test_pulse_rate_up_to_one_per_step_accepted(rate_khz, dt_ms):
+    cfg = RunConfig(cancel_pulse_rate_khz=rate_khz, dt_ms=dt_ms,
+                    t_final_ms=5.0, snapshot_every_ms=1.0)
+    assert cfg.validate().cancel_pulse_rate_khz == rate_khz
+
+
 @pytest.mark.parametrize("overrides", [
     {},
     {"rng_seed": 0, "kernel_mode": " Bare ", "dt_ms": 0.025},

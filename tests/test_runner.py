@@ -1,14 +1,19 @@
 """Tests for run orchestration: directories, determinism, re-analysis."""
 
 import logging
+import multiprocessing
 import os
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spintex import dynamics
+from spintex import dynamics, runner
+from spintex.analysis import growth_rate
 from spintex.errors import InvalidParameter
 from spintex.field import spin_density
 from spintex.io_text import (RunConfig, is_complete, parse_config,
@@ -96,9 +101,10 @@ def test_run_is_deterministic(tmp_path):
     assert not np.array_equal(a.psi, c.psi)
 
 
-def read_tree(run_dir) -> dict:
-    return {name: open(os.path.join(run_dir, name), "rb").read()
-            for name in os.listdir(run_dir)}
+def read_tree(root) -> dict:
+    return {os.path.relpath(os.path.join(path, name), root):
+            open(os.path.join(path, name), "rb").read()
+            for path, _, names in os.walk(root) for name in names}
 
 
 def test_run_directory_does_not_depend_on_its_path(tmp_path):
@@ -318,3 +324,116 @@ def test_run_validates_config(tmp_path):
     cfg.dt_ms = -0.5
     with pytest.raises(InvalidParameter):
         run_simulate(cfg)
+
+
+def test_invalid_sweep_leaves_no_directory(tmp_path):
+    out = str(tmp_path / "sweep")
+    with pytest.raises(InvalidParameter, match="nx must be a power of two"):
+        run_sweep_kappa(RunConfig(out_dir=out, nx=12), [60, 30])
+    assert not os.path.exists(out)
+
+
+class Lines(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.lines = []
+
+    def emit(self, record):
+        self.lines.append(record.getMessage())
+
+
+def sweep_and_sequential(root, pitches) -> list:
+    """[(rows, pitch-directory files, spintex lines)] of a sweep, then of
+    one run_simulate per pitch on the same configs, one after another."""
+    log = logging.getLogger("spintex")
+    out = []
+    for mode in ("sweep", "sequential"):
+        base = small_cfg(Path(root), out_dir=os.path.join(root, mode))
+        lines, level = Lines(), log.level
+        log.addHandler(lines)
+        log.setLevel(logging.INFO)
+        try:
+            if mode == "sweep":
+                rows = run_sweep_kappa(base, pitches)
+                os.remove(os.path.join(base.out_dir, "gamma.csv"))
+            else:
+                rows = []
+                for pitch in pitches:
+                    result = run_simulate(replace(
+                        base, helix_pitch_um=pitch,
+                        out_dir=os.path.join(base.out_dir, f"pitch_{pitch:g}")))
+                    kappa = 2.0 * np.pi / pitch
+                    rows.append((kappa, growth_rate(result.series)))
+                    lines.lines.append(
+                        f"pitch {pitch:6.1f} um   kappa {kappa:.4f} rad/um   "
+                        f"gamma {rows[-1][1]:.4f} /s")
+        finally:
+            log.removeHandler(lines)
+            log.setLevel(level)
+        out.append((rows, read_tree(base.out_dir), lines.lines))
+    return out
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_sweep_equals_its_pitches_run_one_after_another(tmp_path,
+                                                        monkeypatch, cpus):
+    # 2 CPUs: pitches 60 and 20 on lane 0, pitch 30 on lane 1
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
+    swept, sequential = sweep_and_sequential(str(tmp_path), [60.0, 30.0, 20.0])
+    assert multiprocessing.active_children() == []
+    assert swept[0] == sequential[0]
+    assert os.path.join("pitch_20", "snap_t1.txt") in swept[1]
+    assert swept[1] == sequential[1]
+    # per pitch its 5 observations, then its pitch line
+    assert len(swept[2]) == 3 * (5 + 1)
+    assert swept[2] == sequential[2]
+
+
+def test_sweep_needs_no_state_inherited_by_fork(tmp_path):
+    script = (
+        "import multiprocessing, sys\n"
+        "if __name__ == '__main__':\n"
+        "    multiprocessing.set_start_method('spawn')\n"
+        "    sys.path.insert(0, sys.argv[1])\n"
+        "    import test_runner\n"
+        "    test_runner.runner._usable_cpus = lambda: 2\n"
+        "    swept, sequential = test_runner.sweep_and_sequential(\n"
+        "        sys.argv[2], [60.0, 30.0, 20.0])\n"
+        "    assert multiprocessing.active_children() == []\n"
+        "    assert swept == sequential, 'sweep differs from sequential runs'\n"
+        "    print(multiprocessing.get_start_method(), len(swept[2]))\n")
+    src = os.path.dirname(os.path.dirname(runner.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    done = subprocess.run(
+        [sys.executable, "-c", script, os.path.dirname(__file__),
+         str(tmp_path)], env=env, capture_output=True, text=True,
+        timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "spawn 18\n"
+
+
+@pytest.mark.parametrize("cpus, blocked, failed, done", [
+    # 2 CPUs: pitches 60 and 20 on lane 0, pitch 30 on lane 1
+    (2, ("pitch_30",), "pitch_30", ("pitch_60",)),
+    (2, ("pitch_30", "pitch_20"), "pitch_30", ("pitch_60",)),
+    (3, ("pitch_30", "pitch_20"), "pitch_30", ("pitch_60",)),
+    (2, ("pitch_20",), "pitch_20", ("pitch_60", "pitch_30")),
+])
+def test_sweep_raises_its_first_failure_in_pitch_order(
+        tmp_path, monkeypatch, cpus, blocked, failed, done):
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
+    cfg = small_cfg(tmp_path, out_dir=str(tmp_path / "sweep"))
+    os.makedirs(cfg.out_dir)
+    for name in blocked:        # a file where a run directory should go
+        with open(os.path.join(cfg.out_dir, name), "w") as fh:
+            fh.write("not a directory\n")
+    with pytest.raises(FileExistsError) as direct:
+        run_simulate(replace(cfg, out_dir=os.path.join(cfg.out_dir, failed)))
+    with pytest.raises(FileExistsError) as swept:
+        run_sweep_kappa(cfg, [60.0, 30.0, 20.0])
+    assert str(swept.value) == str(direct.value)
+    assert multiprocessing.active_children() == []
+    assert not os.path.exists(os.path.join(cfg.out_dir, "gamma.csv"))
+    for name in done:       # lane 0's pitch, and a running pitch waited for
+        assert is_complete(os.path.join(cfg.out_dir, name))
