@@ -7,11 +7,16 @@ split of field.zeeman_like_apply, exactly unitary and accurate to
 O(dt^3).  The local sub-flow rotates the spin about the mean field it
 generates, so frozen coefficients are not exact there; the full local
 step therefore uses coefficients from a predicted midpoint state,
-which keeps the whole scheme second order in dt.  evolve is the one
-stepping loop, and its step index the one step clock: it keys the
-pulses and names a failed step.  Between two stops (a pulse or an
-observation) each step's closing kinetic half step merges with the
-next step's opening one, so a run of steps costs one FFT pair per step.
+which keeps the whole scheme second order in dt.  The predictor half
+step takes its dipolar field from the previous step's midpoint (an
+exponential-midpoint variant, still second order), so a step costs one
+dipolar convolution; the first step of a segment computes the field of
+its own densities, which keeps a segment a function of its input
+field alone.  evolve is the one stepping loop, and its step index the
+one step clock: it keys the pulses and names a failed step.  Between
+two stops (a pulse or an observation) each step's closing kinetic half
+step merges with the next step's opening one, so a run of steps costs
+one FFT pair per step.
 
 Everything but the FFTs is site-local, so Evolver.step runs it in
 three loops over blocks of whole grid rows (about _BLOCK_SITES sites),
@@ -82,19 +87,27 @@ class Evolver:
             out[c] = np.fft.ifft2(pk)
         return out
 
-    def step(self, psi: np.ndarray, k: int, last: bool) -> np.ndarray:
+    def step(self, psi: np.ndarray, k: int, last: bool,
+             b: np.ndarray) -> tuple:
         """Step k of evolve, after its segment's opening kinetic half step.
 
-        The exponential-midpoint local step runs as three loops over
-        blocks of rows, around the two dipolar convolutions:
+        Returns (psi_next, b_mid): the stepped field and the dipolar
+        field of the predicted midpoint densities, which evolve passes
+        back as the next step's b.  The exponential-midpoint local step
+        runs as three loops over blocks of rows, around one dipolar
+        convolution:
         A. s and n, the spin and number densities of psi;
-        B. half a local step of psi with the coefficients of (s, n),
-           keeping only the densities of that predicted field, which
-           overwrite (s, n) block by block;
-        C. the full local step of psi with the predicted coefficients.
-        Then comes the closing kinetic half step, merged with the next
-        step's opening one (alone on the segment's last step).  k only
-        names the step in a NumericalFailure.
+        B. half a local step of psi with the coefficients of (s, n, b),
+           keeping only the spin density of that predicted field, which
+           overwrites s block by block (the local step is unitary at
+           each site, so n is unchanged);
+        C. the full local step of psi with the coefficients of the
+           predicted (s, n) and their field b_mid.
+        b is the previous step's b_mid; None, on a segment's first step,
+        makes it the field of psi's own s.  Then comes the closing
+        kinetic half step, merged with the next step's opening one (alone
+        on the segment's last step).  k only names the step in a
+        NumericalFailure.
         """
         theta = self.dt_ms * cn.RADPMS_PER_HHZ
         nx, nz = self.grid.shape
@@ -116,15 +129,14 @@ class Evolver:
         for r in blocks:
             s[:, r] = spin_density(psi[:, r])
             n[r] = number_density(psi[:, r])
-        b = self.coupling.field_of(s)
+        if b is None:
+            b = self.coupling.field_of(s)
         for r in blocks:
-            pred = local(r, b, 0.5 * theta)
-            s[:, r] = spin_density(pred)
-            n[r] = number_density(pred)
-        b = self.coupling.field_of(s)
+            s[:, r] = spin_density(local(r, b, 0.5 * theta))
+        b_mid = self.coupling.field_of(s)
         out = np.empty_like(psi)
         for r in blocks:
-            out[:, r] = local(r, b, theta)
+            out[:, r] = local(r, b_mid, theta)
         # checked before the FFT spreads a non-finite site over the grid
         if not np.all(np.isfinite(out.view(float))):
             _, ix, iz = np.argwhere(~np.isfinite(out))[0]
@@ -132,23 +144,30 @@ class Evolver:
                 f"non-finite amplitudes in step {k} "
                 f"(t = {k * self.dt_ms:.12g} ms), "
                 f"first at site (ix, iz) = ({ix}, {iz})")
-        return self._kinetic(out, self._kin_half if last else self._kin_full)
+        return (self._kinetic(out, self._kin_half if last else self._kin_full),
+                b_mid)
 
     # -- diagnostics ---------------------------------------------------
 
     def norm(self, psi: np.ndarray) -> float:
         return float(number_density(psi).sum()) * self.grid.cell_area
 
-    def energy_budget(self, psi: np.ndarray) -> dict:
-        """Energy components in h*Hz; their sum is conserved by the flow."""
+    def energy_budget(self, psi: np.ndarray, n: np.ndarray = None,
+                      s: np.ndarray = None) -> dict:
+        """Energy components in h*Hz; their sum is conserved by the flow.
+
+        n and s are psi's number and spin densities, if already known.
+        """
         g = self.grid
         da = g.cell_area
         pk = np.fft.fft2(psi, axes=(-2, -1))
         dens_k = (pk.real**2 + pk.imag**2).sum(axis=0)
         e_kin = cn.EKIN_HHZ_PER_K2 * float((g.k2 * dens_k).sum()) \
             * da / (g.nx * g.nz)
-        n = number_density(psi)
-        s = spin_density(psi)
+        if n is None:
+            n = number_density(psi)
+        if s is None:
+            s = spin_density(psi)
         e_pot = float((self.potential * n).sum()) * da
         e_c0 = 0.5 * self.c0_2d * float((n * n).sum()) * da
         e_c2 = 0.5 * self.c2_2d * float((s * s).sum()) * da
@@ -161,13 +180,17 @@ class Evolver:
         return {"e_kin": e_kin, "e_pot": e_pot, "e_c0": e_c0, "e_c2": e_c2,
                 "e_zeeman": e_zee, "e_dipole": e_dd, "e_total": total}
 
-    def energy_per_atom(self, psi: np.ndarray) -> dict:
-        """Energy components per atom in h*Hz (total budget / atom number)."""
-        atoms = self.norm(psi)
+    def energy_per_atom(self, psi: np.ndarray, s: np.ndarray = None) -> dict:
+        """Energy components per atom in h*Hz (total budget / atom number).
+
+        s is psi's spin density, if already known.
+        """
+        n = number_density(psi)
+        atoms = float(n.sum()) * self.grid.cell_area
         if atoms <= 0:
             raise NumericalFailure("atom number vanished")
         return {key: val / atoms
-                for key, val in self.energy_budget(psi).items()
+                for key, val in self.energy_budget(psi, n, s).items()
                 if key != "e_total"}
 
 
@@ -219,8 +242,8 @@ def evolve(psi: np.ndarray, evolver: Evolver, n_steps: int,
     and before the observer sees it.  The observer is called as
     observer(n, psi) after step n for n = 0, every observe_every steps
     (0: none in between), and n = n_steps.  The steps between two stops
-    run as one segment, with merged kinetic half steps.  Returns the
-    final field.
+    run as one segment, with merged kinetic half steps, each step handing
+    its midpoint dipolar field to the next.  Returns the final field.
     """
     if n_steps < 0 or observe_every < 0:
         raise InvalidParameter(
@@ -240,8 +263,9 @@ def evolve(psi: np.ndarray, evolver: Evolver, n_steps: int,
     done = 0
     for stop in sorted((set(pulses) | observed | {n_steps}) - {0}):
         psi = evolver._kinetic(psi, evolver._kin_half)
+        b = None        # a segment starts from its own field
         for k in range(done + 1, stop + 1):
-            psi = evolver.step(psi, k, last=k == stop)
+            psi, b = evolver.step(psi, k, last=k == stop, b=b)
         done = stop
         for axis, angle in pulses.get(stop, ()):
             psi = rotate_spinor(psi, axis, angle)

@@ -15,7 +15,8 @@ the calling process, the others in worker processes.  The workers hold
 their progress records back, and the caller replays every record in
 pitch order, so the lines and files are those of a one-after-another
 sweep.  If pitches fail, the first in pitch order is raised, no
-gamma.csv is written, and no worker outlives the call.
+gamma.csv is left (not even an earlier sweep's), and no worker outlives
+the call.
 """
 
 import logging
@@ -93,7 +94,7 @@ def _measure_row(t_ms: float, psi: np.ndarray, evolver: Evolver,
     row = {"t_ms": t_ms, "long_order": long_p, "short_order": short_p,
            "total_power": total_p,
            "n_vortices": float(len(detect_vortices(s, evolver.grid)))}
-    row.update(evolver.energy_per_atom(psi))
+    row.update(evolver.energy_per_atom(psi, s))
     return row
 
 
@@ -240,7 +241,8 @@ def run_sweep_kappa(cfg: RunConfig, pitches) -> list:
     Writes gamma.csv under the config's out_dir with each run in a
     pitch_<um> subdirectory (named with %g, so pitches that print alike
     are rejected).  All runs share the config's seed.  Every pitch's
-    config is validated before any directory is made.
+    config is validated before any directory is made, and an earlier
+    sweep's gamma.csv is removed before any pitch runs.
 
     The pitches run on min(usable CPUs, len(pitches)) lanes, pitch i on
     lane i % lanes: lane 0 in this process, the others in a process pool.
@@ -268,6 +270,10 @@ def run_sweep_kappa(cfg: RunConfig, pitches) -> list:
                     out_dir=os.path.join(base, name)).validate()
             for pitch, name in zip(pitches, names)]
     os.makedirs(base, exist_ok=True)
+    # an earlier sweep's gamma.csv would outlive a failure of this one
+    path = os.path.join(base, "gamma.csv")
+    if os.path.exists(path):
+        os.remove(path)
 
     n = len(subs)
     lanes = min(_usable_cpus(), n)
@@ -331,7 +337,6 @@ def run_sweep_kappa(cfg: RunConfig, pitches) -> list:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
-    path = os.path.join(base, "gamma.csv")
     with atomic_text(path) as fh:
         fh.write(f"# config = {config_hash(cfg)}\n")
         fh.write("kappa_rad_per_um,gamma_per_s\n")

@@ -6,6 +6,7 @@ from scipy import stats
 
 from spintex import constants as cn
 from spintex import dynamics, oracles
+from spintex.dipole import DipolarCoupling
 from spintex.dynamics import Evolver, evolve, make_cancellation_schedule
 from spintex.errors import InvalidParameter, NumericalFailure
 from spintex.field import (add_noise, imprint_helix, number_density,
@@ -277,19 +278,52 @@ def test_a_failure_names_the_step_of_its_own_evolve_call():
 
 def test_evolve_in_one_segment_equals_single_steps():
     g = Grid2D(nx=16, nz=32, lx=8.0, lz=32.0)
-    ev = make_evolver(g)
     psi0 = add_noise(imprint_helix(uniform_transverse(g), g,
                                    2 * math.pi / 16.0),
                      1e-2, np.random.default_rng(4))
+    # the kinetic merge: with the dipoles off, a segment's merged half
+    # steps are one-step segments up to rounding
+    off = make_evolver(g, mode="off")
+    merged = evolve(psi0, off, 10)
+    single = psi0
+    for _ in range(10):
+        single = evolve(single, off, 1)
+    assert np.abs(merged - single).max() < 1e-12 * np.abs(single).max()
+    # the carry: a dipolar segment threads each step's midpoint field
+    # into the next step (one-step segments differ by 5.3e-8 relative)
+    ev = make_evolver(g)
     merged = evolve(psi0, ev, 10)
+    by_hand, b = ev._kinetic(psi0, ev._kin_half), None
+    for k in range(1, 11):
+        by_hand, b = ev.step(by_hand, k, k == 10, b)
+    assert np.array_equal(merged, by_hand)
+    # stopping for the observer after every step is ten one-step segments
     single = psi0
     for _ in range(10):
         single = evolve(single, ev, 1)
-    assert np.abs(merged - single).max() < 1e-12 * np.abs(single).max()
-    # stopping for the observer after every step is ten one-step segments
     stopped = evolve(psi0, ev, 10, observer=lambda n, p: None,
                      observe_every=1)
     assert np.array_equal(stopped, single)
+
+
+def test_a_stop_starts_a_fresh_dipolar_field():
+    # a segment is a function of its input field alone: no midpoint
+    # field is carried over a pulse or an observation
+    g = Grid2D(nx=8, nz=16, lx=4.0, lz=8.0)
+    ev = make_evolver(g)
+    psi0 = add_noise(imprint_helix(uniform_transverse(g), g,
+                                   2 * math.pi / 8.0),
+                     1e-2, np.random.default_rng(9))
+    turn = ((0.0, 1.0, 0.0), math.pi / 2)
+    pulsed = evolve(psi0, ev, 7, pulses={3: [turn]})
+    by_parts = evolve(rotate_spinor(evolve(psi0, ev, 3), *turn), ev, 4)
+    assert np.array_equal(pulsed, by_parts)
+    seen = {}
+    observed = evolve(psi0, ev, 7, observer=lambda n, p: seen.setdefault(n, p),
+                      observe_every=4)
+    assert sorted(seen) == [0, 4, 7]
+    assert np.array_equal(seen[4], evolve(psi0, ev, 4))
+    assert np.array_equal(observed, evolve(seen[4], ev, 3))
 
 
 def test_blocks_of_rows_do_not_change_the_step(monkeypatch):
@@ -308,8 +342,9 @@ def test_blocks_of_rows_do_not_change_the_step(monkeypatch):
 
 
 def test_each_step_is_one_call_with_two_local_steps(monkeypatch):
-    calls = {"step": 0, "local": 0}
+    calls = {"step": 0, "local": 0, "field": 0}
     step, local = dynamics.Evolver.step, dynamics.zeeman_like_apply
+    field_of = DipolarCoupling.field_of
 
     def counted_step(*args, **kwargs):
         calls["step"] += 1
@@ -319,21 +354,29 @@ def test_each_step_is_one_call_with_two_local_steps(monkeypatch):
         calls["local"] += 1
         return local(*args, **kwargs)
 
+    def counted_field(*args, **kwargs):
+        calls["field"] += 1
+        return field_of(*args, **kwargs)
+
     monkeypatch.setattr(dynamics.Evolver, "step", counted_step)
     monkeypatch.setattr(dynamics, "zeeman_like_apply", counted_local)
+    monkeypatch.setattr(DipolarCoupling, "field_of", counted_field)
     g = Grid2D(nx=8, nz=8, lx=4.0, lz=4.0)
     ev = make_evolver(g)
     pulses = {3: [((0.0, 1.0, 0.0), math.pi / 2)]}
+    # stops after steps 3, 6 and 7: three segments, each opening with its
+    # own dipolar convolution, then one per step
     evolve(uniform_transverse(g), ev, 7, pulses=pulses,
            observer=lambda n, p: None, observe_every=3)
-    assert calls == {"step": 7, "local": 14}
+    assert calls == {"step": 7, "local": 14, "field": 7 + 3}
     # on several blocks: two local steps per block and step, so 2 x 3
-    # blocks (3 + 3 + 2 rows of 8 sites) x 7 steps
+    # blocks (3 + 3 + 2 rows of 8 sites) x 7 steps; the convolutions
+    # are over the whole grid
     monkeypatch.setattr(dynamics, "_BLOCK_SITES", 24)
-    calls.update(step=0, local=0)
+    calls.update(step=0, local=0, field=0)
     evolve(uniform_transverse(g), ev, 7, pulses=pulses,
            observer=lambda n, p: None, observe_every=3)
-    assert calls == {"step": 7, "local": 2 * 3 * 7}
+    assert calls == {"step": 7, "local": 2 * 3 * 7, "field": 7 + 3}
 
 
 def test_pulses_land_on_the_first_boundary_at_or_after_them():

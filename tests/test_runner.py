@@ -437,3 +437,24 @@ def test_sweep_raises_its_first_failure_in_pitch_order(
     assert not os.path.exists(os.path.join(cfg.out_dir, "gamma.csv"))
     for name in done:       # lane 0's pitch, and a running pitch waited for
         assert is_complete(os.path.join(cfg.out_dir, name))
+
+
+def test_a_failed_sweep_rerun_leaves_no_earlier_gamma(tmp_path, monkeypatch):
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 1)
+    cfg = small_cfg(tmp_path, out_dir=str(tmp_path / "sweep"))
+    gamma_path = os.path.join(cfg.out_dir, "gamma.csv")
+    run_sweep_kappa(cfg, [60.0, 40.0])
+    assert os.path.exists(gamma_path)
+    # a re-run refused by validation touches nothing
+    with pytest.raises(InvalidParameter, match="positive"):
+        run_sweep_kappa(cfg, [60.0, -40.0])
+    assert os.path.exists(gamma_path)
+    # a re-run that fails in a pitch leaves no gamma.csv beside the
+    # pitches it did re-run
+    shutil.rmtree(os.path.join(cfg.out_dir, "pitch_60"))
+    with open(os.path.join(cfg.out_dir, "pitch_60"), "w") as fh:
+        fh.write("not a directory\n")
+    with pytest.raises(FileExistsError):
+        run_sweep_kappa(cfg, [40.0, 60.0])
+    assert is_complete(os.path.join(cfg.out_dir, "pitch_40"))
+    assert not os.path.exists(gamma_path)
