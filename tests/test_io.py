@@ -10,7 +10,7 @@ import pytest
 
 from spintex import io_text
 from spintex.analysis import ENERGY_KEYS, OrderParamSeries
-from spintex.errors import InvalidParameter
+from spintex.errors import GridMismatch, InvalidParameter
 from spintex.field import number_density, spin_density
 from spintex.grid import Grid2D
 from spintex.io_text import (
@@ -269,6 +269,10 @@ def test_snapshot_round_trip(tmp_path):
     psi = (rng.standard_normal((3,) + g.shape)
            + 1j * rng.standard_normal((3,) + g.shape))
     path = str(tmp_path / "snap_t5.txt")
+    other = Grid2D(nx=8, nz=8, lx=4.0, lz=4.0)
+    with pytest.raises(GridMismatch, match=r"\(3, 8, 16\).*\(8, 8\)"):
+        write_snapshot(path, psi, other, time_ms=5.0, cfg_hash="deadbeef0123")
+    assert os.listdir(tmp_path) == []
     write_snapshot(path, psi, g, time_ms=5.0, cfg_hash="deadbeef0123")
     back, g2, header = read_snapshot(path)
     assert (g2.nx, g2.nz, g2.lx, g2.lz) == (g.nx, g.nz, g.lx, g.lz)
@@ -277,31 +281,69 @@ def test_snapshot_round_trip(tmp_path):
     assert np.max(np.abs(back - psi)) < 1e-9
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+def _float_values(kind: str, size: int) -> np.ndarray:
+    """`size` float64 values of one kind, from a fixed seed."""
+    rng = np.random.default_rng(5)
+    sign = rng.choice([-1.0, 1.0], size)
+    if kind == "normal":
+        return rng.standard_normal(size)
+    if kind == "raw-bits":
+        # every exponent field: zeros, subnormals, normals, infs and NaNs
+        bits = (rng.integers(0, 2, size, dtype=np.uint64) << np.uint64(63)
+                | (np.arange(size, dtype=np.uint64) % np.uint64(2048))
+                << np.uint64(52)
+                | rng.integers(0, 2**52, size, dtype=np.uint64))
+        values = bits.view(np.float64)
+        values[:6] = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324]
+        return values
+    if kind == "near-ties":
+        # (D + 0.5) 10^k lies within an ulp of a rounding tie; for k in
+        # 0..6 it is an exact tie
+        digits = rng.integers(10**10, 10**11, size) + 0.5
+        power = rng.integers(-300, 281, size)
+        power[::2] = rng.integers(0, 7, len(power[::2]))
+        return sign * digits * 10.0 ** power.astype(float)
+    if kind == "decade-edges":
+        # powers of ten, their neighbours, and values whose digits carry
+        # into the next decade
+        powers = 10.0 ** np.arange(-323, 309).astype(float)
+        carry = 9.99999999996 * 10.0 ** np.arange(-300, 300).astype(float)
+        edges = np.concatenate([powers, np.nextafter(powers, 0.0),
+                                np.nextafter(powers, np.inf), carry,
+                                np.nextafter(carry, 0.0)])
+        return sign * np.resize(edges, size)
+    assert kind == "3-digit-exponents"
+    return sign * 10.0 ** (rng.choice([-1.0, 1.0], size)
+                           * rng.uniform(99.5, 308.0, size))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered",
+                            "ignore:invalid value encountered")
 @pytest.mark.parametrize("chunk_rows", [2048, 48])
 def test_snapshot_table_bytes_match_savetxt(tmp_path, monkeypatch,
                                             chunk_rows):
-    # 64 rows: less than one default chunk, and 48 + 16 with a small one
+    # 1024 rows: a whole multiple of neither chunk size
     monkeypatch.setattr(io_text, "_SNAPSHOT_CHUNK_ROWS", chunk_rows)
-    g = Grid2D(nx=8, nz=8, lx=4.0, lz=4.0)
-    rng = np.random.default_rng(5)
-    psi = (rng.standard_normal((3,) + g.shape)
-           + 1j * rng.standard_normal((3,) + g.shape))
-    psi[0, 0, :4] = [0.0, -0.0, 5e-324, -5e-324]
-    psi[1, 1, :4] = [1e300, -1e300, 1e150 + 1e-300j, complex(-0.0, 0.0)]
-    path = str(tmp_path / "snap.txt")
-    write_snapshot(path, psi, g, time_ms=0.0, cfg_hash="x")
-    m = spin_density(psi)
-    cols = [np.broadcast_to(g.x[:, None], g.shape),
-            np.broadcast_to(g.z[None, :], g.shape), number_density(psi),
-            m[0], m[1], m[2]]
-    cols += [part for comp in psi for part in (comp.real, comp.imag)]
-    expected = io.BytesIO()
-    np.savetxt(expected, np.stack([c.ravel() for c in cols], axis=1),
-               fmt="%.10e")
-    with open(path, "rb") as fh:
-        table = b"".join(ln for ln in fh if not ln.startswith(b"#"))
-    assert table == expected.getvalue()
+    g = Grid2D(nx=8, nz=128, lx=4.0, lz=64.0)
+    for kind in ("normal", "raw-bits", "near-ties", "decade-edges",
+                 "3-digit-exponents"):
+        psi = _float_values(kind, 6 * g.nx * g.nz).view(complex).reshape(
+            (3,) + g.shape)
+        psi[0, 0, :4] = [0.0, -0.0, 5e-324, -5e-324]
+        psi[1, 1, :4] = [1e300, -1e300, 1e150 + 1e-300j, complex(-0.0, 0.0)]
+        path = str(tmp_path / "snap.txt")
+        write_snapshot(path, psi, g, time_ms=0.0, cfg_hash="x")
+        m = spin_density(psi)
+        cols = [np.broadcast_to(g.x[:, None], g.shape),
+                np.broadcast_to(g.z[None, :], g.shape), number_density(psi),
+                m[0], m[1], m[2]]
+        cols += [part for comp in psi for part in (comp.real, comp.imag)]
+        expected = io.BytesIO()
+        np.savetxt(expected, np.stack([c.ravel() for c in cols], axis=1),
+                   fmt="%.10e")
+        with open(path, "rb") as fh:
+            table = b"".join(ln for ln in fh if not ln.startswith(b"#"))
+        assert table == expected.getvalue(), kind
 
 
 def test_snapshot_missing_header(tmp_path):
@@ -328,12 +370,19 @@ def test_snapshot_truncated_table(tmp_path):
         read_snapshot(path)
 
 
-@pytest.mark.parametrize("spoil", [
-    lambda text: text[:len(text) // 2 + 7],
-    lambda text: text.replace("# nx = 8", "# nx = eight"),
-    lambda text: text.replace("# time_ms = 0.0", "# time_ms = soon"),
-], ids=["cut-mid-line", "bad-nx", "bad-time"])
-def test_snapshot_parse_failure_names_the_file(tmp_path, spoil):
+@pytest.mark.parametrize("spoil, message", [
+    (lambda text: text[:len(text) // 2 + 7], ""),
+    (lambda text: text.replace("# nx = 8", "# nx = eight"), ""),
+    (lambda text: text.replace("# time_ms = 0.0", "# time_ms = soon"), ""),
+    (lambda text: text.replace("# time_ms = 0.0", "# time_ms = nan"),
+     "time_ms"),
+    (lambda text: text.replace("# time_ms = 0.0", "# time_ms = inf"),
+     "time_ms"),
+    (lambda text: text.replace("# time_ms = 0.0", "# time_ms = -inf"),
+     "time_ms"),
+], ids=["cut-mid-line", "bad-nx", "bad-time", "nan-time", "inf-time",
+        "minus-inf-time"])
+def test_snapshot_parse_failure_names_the_file(tmp_path, spoil, message):
     g = Grid2D(nx=8, nz=8, lx=4.0, lz=4.0)
     psi = np.ones((3,) + g.shape, dtype=complex)
     path = str(tmp_path / "snap.txt")
@@ -341,7 +390,7 @@ def test_snapshot_parse_failure_names_the_file(tmp_path, spoil):
     text = open(path, encoding="utf-8").read()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(spoil(text))
-    with pytest.raises(InvalidParameter, match="snap.txt"):
+    with pytest.raises(InvalidParameter, match=f"snap.txt.*{message}"):
         read_snapshot(path)
 
 
