@@ -185,7 +185,7 @@ def thomas_fermi_density(grid: Grid2D, vx: float, vz: float, c0_2d: float,
 
 def prepare_initial(grid: Grid2D, profile: str, atom_number: float,
                     c0_2d: float, vx: float = 0.0, vz: float = 0.0,
-                    box_fill: float = 0.9) -> tuple:
+                    box_fill: float = 1.0) -> tuple:
     """(psi, potential): a longitudinally polarized (m = -1) cloud.
 
     `profile` is "uniform" (flat-top box, exactly periodic when

@@ -377,6 +377,9 @@ def write_snapshot(path: str, psi: np.ndarray, grid: Grid2D,
     if psi.shape != (3,) + grid.shape:
         raise GridMismatch(f"snapshot {path}: field shape {psi.shape} does "
                            f"not match 3 components on grid {grid.shape}")
+    if not math.isfinite(time_ms):
+        raise InvalidParameter(f"snapshot {path}: time_ms must be finite, "
+                               f"got {time_ms!r}")
     n = number_density(psi)
     m = spin_density(psi)
     x = np.broadcast_to(grid.x[:, None], grid.shape)
@@ -476,6 +479,11 @@ def read_timeseries(path: str) -> OrderParamSeries:
 def snapshot_name(time_ms: float) -> str:
     # 12 significant digits: distinct times past 10 s keep distinct names
     return f"snap_t{time_ms:.12g}.txt"
+
+
+def is_snapshot_name(name: str) -> bool:
+    """Whether a file name is one that snapshot_name gives."""
+    return name.startswith("snap_t") and name.endswith(".txt")
 
 
 def write_meta(run_dir: str, cfg: RunConfig) -> None:

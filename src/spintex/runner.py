@@ -11,12 +11,12 @@ Progress lines (one per observation, one per sweep pitch) go to the
 attached, as the command-line interface does.
 
 run_sweep_kappa runs its pitches on one lane per usable CPU: lane 0 in
-the calling process, the others in worker processes.  The workers hold
-their progress records back, and the caller replays every record in
-pitch order, so the lines and files are those of a one-after-another
-sweep.  If pitches fail, the first in pitch order is raised, no
-gamma.csv is left (not even an earlier sweep's), and no worker outlives
-the call.
+the calling process, the others in worker processes.  It reports the
+pitches in pitch order, replaying a worker's held-back progress lines
+when it reaches that pitch, so the lines and files are those of a
+one-after-another sweep.  The first failure in pitch order is raised,
+no gamma.csv is left (not even an earlier sweep's), and no worker
+outlives the call.
 """
 
 import logging
@@ -32,9 +32,9 @@ from .dynamics import Evolver, evolve, make_cancellation_schedule
 from .errors import InvalidParameter
 from .field import (add_noise, imprint_helix, prepare_initial, rotate_spinor,
                     spin_density)
-from .io_text import (RunConfig, atomic_text, config_hash, load_config,
-                      mark_done, read_snapshot, snapshot_name, write_meta,
-                      write_snapshot, write_timeseries)
+from .io_text import (RunConfig, atomic_text, config_hash, is_snapshot_name,
+                      load_config, mark_done, read_snapshot, snapshot_name,
+                      write_meta, write_snapshot, write_timeseries)
 from .params import derive_params, trap_curvatures_hhz_um2
 
 log = logging.getLogger("spintex")
@@ -117,8 +117,7 @@ def run_simulate(cfg: RunConfig) -> RunResult:
     # an earlier run's outputs would mix with this run's
     for name in os.listdir(run_dir):
         if name in ("DONE", "timeseries.csv", "analysis.csv") \
-                or name.endswith(".tmp") \
-                or (name.startswith("snap_t") and name.endswith(".txt")):
+                or name.endswith(".tmp") or is_snapshot_name(name):
             os.remove(os.path.join(run_dir, name))
     digest = config_hash(cfg)
     write_meta(run_dir, cfg)
@@ -180,7 +179,7 @@ def analyze_run(run_dir: str) -> OrderParamSeries:
 
     snaps = []
     for name in os.listdir(run_dir):
-        if name.startswith("snap_t") and name.endswith(".txt"):
+        if is_snapshot_name(name):
             psi, grid, header = read_snapshot(os.path.join(run_dir, name))
             if header.get("config") != digest:
                 raise InvalidParameter(
@@ -209,12 +208,11 @@ def analyze_run(run_dir: str) -> OrderParamSeries:
 # ---------------------------------------------------------------------------
 
 def _run_pitch(cfg: RunConfig, level: int) -> tuple:
-    """One sweep pitch with its `spintex` records at level held back.
+    """A sweep worker's pitch: (series, its `spintex` records at level).
 
-    Returns (series, records) for the caller to replay in pitch order.
-    The entry point of the sweep's worker processes.  A worker may have
-    inherited the caller's handlers or none at all, so the records go
-    to no handler but the held-back list, and level is passed in.
+    A worker may have inherited the caller's handlers or none at all, so
+    the records go to no handler but the returned list, and level is
+    passed in; the caller replays them in pitch order.
     """
     from logging.handlers import BufferingHandler   # sweeps only
     held = BufferingHandler(math.inf)       # never flushes on its own
@@ -248,12 +246,13 @@ def run_sweep_kappa(cfg: RunConfig, pitches) -> list:
     lane i % lanes: lane 0 in this process, the others in a process pool.
     Each run is a pure function of its config, so the files are those
     of running the pitches one after another, and so are the `spintex`
-    progress lines: per pitch its observations, then its gamma line,
-    replayed in pitch order as the pitches finish.  Once a pitch fails,
-    the later pitches not yet started are cancelled, the running ones
-    are waited for, and the first failure in pitch order is raised with
-    its type and message; gamma.csv is not written.  No worker process
-    outlives the call.
+    progress lines.  The pitches are reported in pitch order, each
+    followed by its gamma line: a worker's pitch is waited for and its
+    held-back lines replayed; lane 0's pitch runs here, once every
+    earlier pitch is reported, with its lines logged live.  The first
+    failure in pitch order is raised with its type and message; the
+    pitches not yet started are cancelled, the running ones waited for,
+    and gamma.csv is not written.  No worker process outlives the call.
     """
     pitches = list(pitches)
     if len(pitches) < 2:
@@ -275,71 +274,38 @@ def run_sweep_kappa(cfg: RunConfig, pitches) -> list:
     if os.path.exists(path):
         os.remove(path)
 
-    n = len(subs)
-    lanes = min(_usable_cpus(), n)
+    lanes = min(_usable_cpus(), len(subs))
     level = log.getEffectiveLevel()
-    outcomes = {}   # pitch index -> (series, held-back records) or failure
-    futures = {}    # pitch index -> future, for lanes 1..
-    out_rows = []
-
-    def report(wait: bool) -> None:
-        """Replay finished pitches' lines and fit their gamma in pitch
-        order, up to the first unfinished pitch; raise a failure reached."""
-        while len(out_rows) < n:
-            i = len(out_rows)
-            if i in futures and (wait or futures[i].done()):
-                outcomes[i] = futures.pop(i).result()
-            if i not in outcomes:
-                return
-            outcome = outcomes.pop(i)
-            if isinstance(outcome, Exception):
-                raise outcome
-            series, records = outcome
-            for record in records:
-                if log.isEnabledFor(record.levelno):
-                    log.handle(record)
-            gamma = growth_rate(series)
-            kappa = 2.0 * math.pi / pitches[i]
-            out_rows.append((kappa, gamma))
-            log.info("pitch %6.1f um   kappa %.4f rad/um   gamma %.4f /s",
-                     pitches[i], kappa, gamma)
-
+    rows = []
     pool = None
     if lanes > 1:
         # imported here: `import spintex` loads no process machinery
         from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(lanes - 1)
     try:
-        for i in range(n):
-            if i % lanes:
-                futures[i] = pool.submit(_run_pitch, subs[i], level)
-        failed = n      # the first known failure; later pitches need not run
-        for i in range(0, n, lanes):
-            report(wait=False)
-            failed = min((j for j, f in futures.items()
-                          if f.done() and f.exception() is not None),
-                         default=n)
-            if failed < i:
-                break
-            try:
-                if len(out_rows) == i:      # all earlier pitches reported
-                    outcomes[i] = run_simulate(subs[i]).series, []
-                else:
-                    outcomes[i] = _run_pitch(subs[i], level)
-            except Exception as exc:    # raised in pitch order by report
-                outcomes[i], failed = exc, i
-                break
-        for j, f in futures.items():
-            if j > failed:
-                f.cancel()      # only one that has not started
-        report(wait=True)
+        futures = {i: pool.submit(_run_pitch, sub, level)
+                   for i, sub in enumerate(subs) if i % lanes}
+        for i, (pitch, sub) in enumerate(zip(pitches, subs)):
+            if i in futures:
+                series, records = futures[i].result()  # raises its failure
+                for record in records:
+                    if log.isEnabledFor(record.levelno):
+                        log.handle(record)
+            else:
+                series = run_simulate(sub).series
+            gamma = growth_rate(series)
+            kappa = 2.0 * math.pi / pitch
+            rows.append((kappa, gamma))
+            log.info("pitch %6.1f um   kappa %.4f rad/um   gamma %.4f /s",
+                     pitch, kappa, gamma)
     finally:
         if pool is not None:
+            # cancels the pitches not started, waits for the running ones
             pool.shutdown(cancel_futures=True)
 
     with atomic_text(path) as fh:
         fh.write(f"# config = {config_hash(cfg)}\n")
         fh.write("kappa_rad_per_um,gamma_per_s\n")
-        for kappa, gamma in out_rows:
+        for kappa, gamma in rows:
             fh.write(f"{kappa:.10e},{gamma:.10e}\n")
-    return out_rows
+    return rows

@@ -7,6 +7,7 @@ maximum error against a fixed tolerance.  The whole battery is a fresh
 correctness audit that runs in well under five minutes.
 """
 
+import logging
 import math
 import time
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ from .io_text import RunConfig
 from .params import derive_params
 
 SIGMA_Y = RunConfig.sigma_y_um
+log = logging.getLogger("spintex")
 
 
 @dataclass(frozen=True)
@@ -200,19 +202,20 @@ ALL_CHECKS = (check_kernel_quadrature, check_larmor_average,
               check_expm)
 
 
-def run_selfcheck(echo=print) -> bool:
-    """Run every cross-check; report and return overall pass."""
+def run_selfcheck() -> bool:
+    """Run every cross-check; report to the "spintex" logger at INFO level
+    and return overall pass."""
     t0 = time.time()
     all_passed = True
     for check in ALL_CHECKS:
         result = check()
         all_passed &= result.passed
-        status = "pass" if result.passed else "FAIL"
-        echo(f"[{status}] {result.name}: max err {result.max_err:.3e} "
-             f"(tol {result.tol:.0e})")
+        log.info("[%s] %s: max err %.3e (tol %.0e)",
+                 "pass" if result.passed else "FAIL", result.name,
+                 result.max_err, result.tol)
         if result.detail:
-            echo(f"       {result.detail}")
-    echo(f"[info] {lattice_table_report()}")
-    echo(f"[info] elapsed {time.time() - t0:.1f} s")
-    echo("all checks passed" if all_passed else "SELF-CHECK FAILED")
+            log.info("       %s", result.detail)
+    log.info("[info] %s", lattice_table_report())
+    log.info("[info] elapsed %.1f s", time.time() - t0)
+    log.info("all checks passed" if all_passed else "SELF-CHECK FAILED")
     return all_passed

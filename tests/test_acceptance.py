@@ -16,6 +16,7 @@ sustained population, so the vortex-count correlation falls short
 (criterion 7). The measured values are printed by each test.
 """
 
+import logging
 import math
 import os
 import time
@@ -177,11 +178,12 @@ def test_criterion_1_energy_scale_anchors():
 # 2. Oracle equivalence battery
 # ---------------------------------------------------------------------------
 
-def test_criterion_2_selfcheck_oracles():
-    lines = []
+def test_criterion_2_selfcheck_oracles(caplog):
     t0 = time.time()
-    ok = run_selfcheck(echo=lines.append)
+    with caplog.at_level(logging.INFO, logger="spintex"):
+        ok = run_selfcheck()
     wall = time.time() - t0
+    lines = [r.getMessage() for r in caplog.records if r.name == "spintex"]
     n_pass = sum(1 for ln in lines if ln.startswith("[pass]"))
     _line(2, ok and wall < 300.0,
           f"{n_pass} oracle checks in {wall:.1f} s (budget 300 s)")

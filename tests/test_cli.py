@@ -203,9 +203,9 @@ def test_selfcheck_wiring(monkeypatch, capsys):
     import spintex.selfcheck
 
     monkeypatch.setattr(spintex.selfcheck, "run_selfcheck",
-                        lambda echo=None: True)
+                        lambda: True)
     assert main(["selfcheck"]) == 0
     monkeypatch.setattr(spintex.selfcheck, "run_selfcheck",
-                        lambda echo=None: False)
+                        lambda: False)
     assert main(["selfcheck"]) == 1
     capsys.readouterr()

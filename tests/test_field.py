@@ -10,6 +10,7 @@ from spintex.field import (add_noise, imprint_helix, number_density,
                            spin_matrices, thomas_fermi_density,
                            transverse_state, zeeman_like_apply)
 from spintex.grid import Grid2D
+from spintex.io_text import RunConfig
 
 def test_spin_matrices_algebra():
     fx, fy, fz = spin_matrices()
@@ -196,6 +197,9 @@ def test_prepare_initial_uniform():
     assert np.abs(psi[0]).max() == 0.0
     assert np.abs(psi[1]).max() == 0.0
     assert np.all(potential == 0.0)
+    # the default fills the box, as a default RunConfig does
+    assert RunConfig.box_fill == 1.0
+    assert np.array_equal(prepare_initial(g, "uniform", 640.0, 2.0)[0], psi)
 
 
 def test_prepare_initial_trap():

@@ -17,6 +17,7 @@ from spintex.io_text import (
     RunConfig,
     config_hash,
     is_complete,
+    is_snapshot_name,
     load_config,
     mark_done,
     parse_config,
@@ -279,6 +280,12 @@ def test_snapshot_round_trip(tmp_path):
     assert header["time_ms"] == 5.0
     assert header["config"] == "deadbeef0123"
     assert np.max(np.abs(back - psi)) < 1e-9
+    # a time that read_snapshot would refuse is refused before any file
+    os.remove(path)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(InvalidParameter, match="time_ms"):
+            write_snapshot(path, psi, g, time_ms=bad, cfg_hash="deadbeef0123")
+    assert os.listdir(tmp_path) == []
 
 
 def _float_values(kind: str, size: int) -> np.ndarray:
@@ -401,6 +408,13 @@ def test_snapshot_name():
     # times past 10 s that differ in the sixth significant digit
     assert snapshot_name(12345.6) == "snap_t12345.6.txt"
     assert snapshot_name(12345.65) == "snap_t12345.65.txt"
+
+
+def test_is_snapshot_name():
+    for t in (0.0, 2.5, 10000.05):
+        assert is_snapshot_name(snapshot_name(t))
+    assert not is_snapshot_name("snap_t1.txt.tmp")
+    assert not is_snapshot_name("timeseries.csv")
 
 
 # ---------------------------------------------------------------------------

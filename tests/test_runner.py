@@ -389,6 +389,26 @@ def test_sweep_equals_its_pitches_run_one_after_another(tmp_path,
     assert swept[2] == sequential[2]
 
 
+@pytest.mark.parametrize("cpus, in_caller", [
+    (1, [60.0, 30.0, 20.0]),
+    (2, [60.0, 20.0]),      # lane 0; pitch 30 runs on lane 1
+])
+def test_lane_0_runs_in_the_caller(tmp_path, monkeypatch, cpus, in_caller):
+    # a tracer installed in the caller sees lane 0's runs, none other
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
+    seen, simulate = [], runner.run_simulate
+
+    def recorded(cfg):      # a worker appends to its own copy of seen
+        seen.append(cfg.helix_pitch_um)
+        return simulate(cfg)
+
+    monkeypatch.setattr(runner, "run_simulate", recorded)
+    run_sweep_kappa(small_cfg(tmp_path, out_dir=str(tmp_path / "sweep")),
+                    [60.0, 30.0, 20.0])
+    assert seen == in_caller
+    assert multiprocessing.active_children() == []
+
+
 def test_sweep_needs_no_state_inherited_by_fork(tmp_path):
     script = (
         "import multiprocessing, sys\n"

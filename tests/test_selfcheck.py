@@ -1,15 +1,17 @@
 """Tests for the cross-validation battery."""
 
+import logging
 import time
 
 from spintex.selfcheck import ALL_CHECKS, check_sign_audit, run_selfcheck
 
 
-def test_selfcheck_passes_and_is_quick():
-    lines = []
+def test_selfcheck_passes_and_is_quick(caplog):
     t0 = time.time()
-    assert run_selfcheck(echo=lines.append)
+    with caplog.at_level(logging.INFO, logger="spintex"):
+        assert run_selfcheck()
     elapsed = time.time() - t0
+    lines = [r.getMessage() for r in caplog.records if r.name == "spintex"]
     assert elapsed < 300.0
     assert sum(1 for ln in lines if ln.startswith("[pass]")) \
         == len(ALL_CHECKS)
