@@ -9,7 +9,7 @@ from .params import DerivedParams, derive_params
 from .field import (add_noise, imprint_helix, number_density,
                     prepare_initial, rotate_spinor, spin_density,
                     transverse_state)
-from .dipole import DipolarCoupling, helix_column_energy, interaction_kernel
+from .dipole import DipolarCoupling, interaction_kernel
 from .dynamics import Evolver, evolve, make_cancellation_schedule
 from .analysis import (OrderParamSeries, Vortex, detect_vortices,
                        dominant_wavevector, growth_rate, order_parameters,
@@ -25,7 +25,7 @@ __all__ = [
     "Grid2D", "DerivedParams", "derive_params",
     "add_noise", "imprint_helix", "number_density", "prepare_initial",
     "rotate_spinor", "spin_density", "transverse_state",
-    "DipolarCoupling", "helix_column_energy", "interaction_kernel",
+    "DipolarCoupling", "interaction_kernel",
     "Evolver", "evolve", "make_cancellation_schedule",
     "OrderParamSeries", "Vortex", "detect_vortices",
     "dominant_wavevector", "growth_rate", "order_parameters",

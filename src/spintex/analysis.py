@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import GridMismatch, InvalidParameter
 from .grid import Grid2D
@@ -168,37 +167,46 @@ def _wrap_angle(a: np.ndarray) -> np.ndarray:
 
 
 def _periodic_clusters(mask: np.ndarray) -> list:
-    """Connected components of a boolean grid with periodic wraparound."""
-    labels, n = ndimage.label(mask)
-    if n == 0:
+    """Connected components of a boolean grid with periodic wraparound.
+
+    4-neighbour connectivity.  Clusters come in the raster order of
+    their first site, each as the (row, column) index arrays of its
+    sites in raster order.
+    """
+    nx, nz = mask.shape
+    sites = np.flatnonzero(mask)
+    if sites.size == 0:
         return []
-    parent = list(range(n + 1))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for la, lb in zip(labels[0, :], labels[-1, :]):
-        if la and lb:
-            union(la, lb)
-    for la, lb in zip(labels[:, 0], labels[:, -1]):
-        if la and lb:
-            union(la, lb)
-    roots = {}
-    for lab in range(1, n + 1):
-        roots.setdefault(find(lab), []).append(lab)
-    out = []
-    for group in roots.values():
-        sel = np.isin(labels, group)
-        out.append(np.nonzero(sel))
-    return out
+    i, j = np.divmod(sites, nz)
+    # edges (a, b) between positions in `sites` of masked neighbours,
+    # one step along each axis with wraparound
+    a, b = [], []
+    for nbr in (((i + 1) % nx) * nz + j, i * nz + (j + 1) % nz):
+        pos = np.searchsorted(sites, nbr) % sites.size
+        hit = sites[pos] == nbr
+        a.append(np.flatnonzero(hit))
+        b.append(pos[hit])
+    a = np.concatenate(a)
+    b = np.concatenate(b)
+    # union by hooking onto the smaller label, then pointer jumping:
+    # label[p] <= p throughout, so each root is its cluster's first site
+    label = np.arange(sites.size)
+    while True:
+        la, lb = label[a], label[b]
+        if np.array_equal(la, lb):
+            break
+        low = np.minimum(la, lb)
+        np.minimum.at(label, la, low)
+        np.minimum.at(label, lb, low)
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+    order = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(np.diff(label[order])) + 1
+    return [np.divmod(group, nz)
+            for group in np.split(sites[order], starts)]
 
 
 def _circular_mean(coords: np.ndarray, period: float) -> float:

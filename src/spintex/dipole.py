@@ -24,19 +24,53 @@ Kernel modes:
             transverse block becomes isotropic, Qxx = Qyy = Dzz/2,
             Qzz = -Dzz, off-diagonal terms vanish
   "off"     coupling disabled
+
+erfcx is this module's own, in numpy and the standard library: below
+x = 4 it is exp(x^2) erfc(x), with x^2 split exactly into two doubles
+so that the exponential keeps full precision, and math.erfc for the
+complementary error function; from x = 4 on it is the continued
+fraction for erfc, whose truncation after 30 terms is below 3e-21
+relative there.  Over [0, 1e6] it stays within 1.1e-15 relative of
+scipy.special.erfcx (a check of the self-check battery holds it to
+2e-15), so no scipy import is needed to build a kernel.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfcx, exp1
 
-from . import constants as cn
 from .errors import InvalidParameter
 from .grid import Grid2D
 
 KERNEL_MODES = ("bare", "larmor", "off")
+SQRT_PI = math.sqrt(math.pi)
+
+
+def erfcx(x) -> np.ndarray:
+    """Scaled complementary error function exp(x^2) erfc(x), elementwise,
+    for x >= 0 (the planar kernel's sigma |k|)."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    near = x < 4.0
+    xn = x[near]
+    # x^2 = hi + lo exactly (Dekker's product): exp(x^2) = exp(hi)(1 + lo)
+    c = 134217729.0 * xn
+    xh = c - (c - xn)
+    xl = xn - xh
+    hi = xn * xn
+    lo = ((xh * xh - hi) + 2.0 * xh * xl) + xl * xl
+    e = np.exp(hi)
+    out[near] = (e + e * lo) * np.fromiter(map(math.erfc, xn.tolist()),
+                                           float, count=xn.size)
+    # erfc(x) = exp(-x^2)/sqrt(pi) / (x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
+    far = ~near
+    xf = x[far]
+    f = xf
+    for k in range(30, 0, -1):
+        f = xf + (0.5 * k) / f
+    out[far] = 1.0 / (SQRT_PI * f)
+    return out
 
 
 def normalize_mode(mode: str) -> str:
@@ -53,7 +87,7 @@ def planar_tensor(kx, kz, sigma_y: float) -> np.ndarray:
         raise InvalidParameter(f"sigma_y must be positive, got {sigma_y!r}")
     kx, kz = np.broadcast_arrays(np.asarray(kx, float), np.asarray(kz, float))
     krho = np.hypot(kx, kz)
-    i0 = math.sqrt(math.pi) / sigma_y
+    i0 = SQRT_PI / sigma_y
     safe = np.where(krho > 0, krho, 1.0)
     ell = np.where(krho > 0, math.pi * erfcx(sigma_y * krho) / safe, 0.0)
     d = np.zeros((3, 3) + kx.shape)
@@ -109,33 +143,3 @@ class DipolarCoupling:
     def energy(self, s: np.ndarray) -> float:
         """Total interaction energy in h*Hz, E = -(1/2) sum b.s dA."""
         return -0.5 * float((self.field_of(s) * s).sum()) * self.grid.cell_area
-
-
-def helix_column_energy(kappa: float, sigma_um: float, n0_um3: float) -> float:
-    """Dipolar energy, h*Hz, of an atom on the axis of a wound column.
-
-    The column has a radial Gaussian profile of width sigma and a
-    transverse spin helix of wavevector kappa along its axis; the
-    returned value is the mean-field energy of an on-axis atom in the
-    field of the whole column,
-
-        eps(kappa) = 2 E_d [ 1/6 - (x/2) e^x E1(x) ],   x = (sigma kappa)^2 / 2
-
-    with E_d = mu0 (gF muB)^2 n0 / 2.  eps(0) = E_d/3 (uniform
-    transverse spins) and eps -> -2 E_d/3 for tight winding, so the
-    full winding-out releases exactly E_d per atom.
-    """
-    if sigma_um <= 0 or n0_um3 <= 0:
-        raise InvalidParameter("sigma_um and n0_um3 must be positive")
-    if kappa < 0:
-        raise InvalidParameter(f"kappa must be >= 0, got {kappa!r}")
-    e_d = cn.dipolar_energy_hhz(n0_um3)
-    if kappa == 0.0:
-        return e_d / 3.0
-    x = 0.5 * (sigma_um * kappa) ** 2
-    # e^x E1(x) evaluated stably: exp1 underflows past x ~ 700
-    if x < 700.0:
-        tail = math.exp(x) * exp1(x)
-    else:
-        tail = (1.0 - 1.0 / x + 2.0 / x**2) / x
-    return 2.0 * e_d * (1.0 / 6.0 - 0.5 * x * tail)

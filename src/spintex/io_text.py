@@ -461,13 +461,22 @@ def write_timeseries(path: str, series: OrderParamSeries,
 
 def read_timeseries(path: str) -> OrderParamSeries:
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()
-                 and not ln.startswith("#")]
-    if not lines or lines[0].split(",") != list(SERIES_COLUMNS):
+        lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1)
+                 if ln.strip() and not ln.startswith("#")]
+    if not lines or lines[0][1].split(",") != list(SERIES_COLUMNS):
         raise InvalidParameter(f"{path}: unexpected time series columns")
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    if data.size == 0:
-        data = data.reshape(0, len(SERIES_COLUMNS))
+    rows = []
+    for n, ln in lines[1:]:
+        fields = ln.split(",")
+        if len(fields) != len(SERIES_COLUMNS):
+            raise InvalidParameter(
+                f"{path}: line {n}: expected {len(SERIES_COLUMNS)} values, "
+                f"got {len(fields)}")
+        try:
+            rows.append([float(v) for v in fields])
+        except ValueError as exc:
+            raise InvalidParameter(f"{path}: line {n}: {exc}") from None
+    data = np.array(rows).reshape(len(rows), len(SERIES_COLUMNS))
     cols = {name: data[:, i] for i, name in enumerate(SERIES_COLUMNS)}
     return OrderParamSeries(columns=cols)
 

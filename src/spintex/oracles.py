@@ -4,13 +4,15 @@ Every routine here reaches a result by a different route than the
 production code: brute-force quadrature instead of closed forms,
 direct lattice sums instead of FFT convolution, generic ODE
 integration instead of split-step.  The selfcheck battery and the test
-suite compare the two paths.
+suite compare the two paths.  The wound-column energy is here too, in
+closed form beside its quadrature and 3D references: no run uses it.
 """
 
 import math
 
 import numpy as np
 from scipy import integrate
+from scipy.special import exp1
 
 from . import constants as cn
 from .dipole import DipolarCoupling
@@ -146,6 +148,36 @@ def fft_lattice_field(s: np.ndarray, table: np.ndarray, c_dd: float,
 # ---------------------------------------------------------------------------
 # Wound-column dipolar energy by 3D real-space integration
 # ---------------------------------------------------------------------------
+
+def helix_column_energy(kappa: float, sigma_um: float, n0_um3: float) -> float:
+    """Dipolar energy, h*Hz, of an atom on the axis of a wound column.
+
+    The column has a radial Gaussian profile of width sigma and a
+    transverse spin helix of wavevector kappa along its axis; the
+    returned value is the mean-field energy of an on-axis atom in the
+    field of the whole column,
+
+        eps(kappa) = 2 E_d [ 1/6 - (x/2) e^x E1(x) ],   x = (sigma kappa)^2 / 2
+
+    with E_d = mu0 (gF muB)^2 n0 / 2.  eps(0) = E_d/3 (uniform
+    transverse spins) and eps -> -2 E_d/3 for tight winding, so the
+    full winding-out releases exactly E_d per atom.
+    """
+    if sigma_um <= 0 or n0_um3 <= 0:
+        raise InvalidParameter("sigma_um and n0_um3 must be positive")
+    if kappa < 0:
+        raise InvalidParameter(f"kappa must be >= 0, got {kappa!r}")
+    e_d = cn.dipolar_energy_hhz(n0_um3)
+    if kappa == 0.0:
+        return e_d / 3.0
+    x = 0.5 * (sigma_um * kappa) ** 2
+    # e^x E1(x) evaluated stably: exp1 underflows past x ~ 700
+    if x < 700.0:
+        tail = math.exp(x) * exp1(x)
+    else:
+        tail = (1.0 - 1.0 / x + 2.0 / x**2) / x
+    return 2.0 * e_d * (1.0 / 6.0 - 0.5 * x * tail)
+
 
 def column_energy_quadrature(kappa: float, sigma_um: float,
                              n0_um3: float) -> float:

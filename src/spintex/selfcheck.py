@@ -13,11 +13,11 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
+from scipy import linalg, special
 
 from . import constants as cn
 from . import oracles
-from .dipole import helix_column_energy, interaction_kernel, planar_tensor
+from .dipole import erfcx, interaction_kernel, planar_tensor
 from .dynamics import Evolver, evolve
 from .field import rotate_spinor, spin_matrices, zeeman_like_apply
 from .grid import Grid2D
@@ -50,6 +50,18 @@ def check_kernel_quadrature() -> CheckResult:
         quad = oracles.planar_tensor_quadrature(kx, kz, SIGMA_Y)
         err = max(err, float(np.abs(closed - quad).max()))
     return CheckResult("planar kernel vs ky quadrature", err, 1e-9)
+
+
+def check_erfcx() -> CheckResult:
+    """The kernel's own erfcx vs scipy.special.erfcx over [0, 1e6]."""
+    x = np.concatenate([np.linspace(0.0, 10.0, 20001),
+                        np.geomspace(1e-6, 1e6, 2001), [0.0, np.inf]])
+    ref = special.erfcx(x)
+    diff = np.abs(erfcx(x) - ref)
+    # erfcx(inf) = 0 on both sides; every other reference value is > 0
+    err = float(np.where(ref > 0, diff / np.where(ref > 0, ref, 1.0),
+                         diff).max())
+    return CheckResult("erfcx vs scipy.special.erfcx", err, 2e-15)
 
 
 def check_larmor_average() -> CheckResult:
@@ -86,7 +98,7 @@ def check_column_closed_form() -> CheckResult:
     err = 0.0
     for kappa in (0.0, 2 * math.pi / 50, 2 * math.pi / 10, 2 * math.pi / 5,
                   2 * math.pi / 2):
-        closed = helix_column_energy(kappa, SIGMA_Y, n0)
+        closed = oracles.helix_column_energy(kappa, SIGMA_Y, n0)
         quad = oracles.column_energy_quadrature(kappa, SIGMA_Y, n0)
         err = max(err, abs(closed - quad) / derived.e_d_hz)
     return CheckResult("column energy closed form vs quadrature", err, 1e-9)
@@ -99,7 +111,7 @@ def check_column_3d() -> CheckResult:
     err = 0.0
     vals = []
     for kappa in (2 * math.pi / 50, 2 * math.pi / 10, 2 * math.pi / 5):
-        closed = helix_column_energy(kappa, SIGMA_Y, n0)
+        closed = oracles.helix_column_energy(kappa, SIGMA_Y, n0)
         full = oracles.column_energy_numeric3d(kappa, SIGMA_Y, n0)
         rel = abs(closed - full) / max(abs(closed), 0.1 * derived.e_d_hz)
         vals.append(f"kappa={kappa:.3f}: {closed:+.4f} vs {full:+.4f} h*Hz")
@@ -196,7 +208,7 @@ def lattice_table_report() -> str:
             f"{dev:.2e} at short wavelengths on a coarse box (informational)")
 
 
-ALL_CHECKS = (check_kernel_quadrature, check_larmor_average,
+ALL_CHECKS = (check_erfcx, check_kernel_quadrature, check_larmor_average,
               check_fft_vs_direct, check_column_closed_form,
               check_column_3d, check_single_site, check_sign_audit,
               check_expm)

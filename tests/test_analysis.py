@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
+from spintex import analysis
 from spintex.analysis import (
     ENERGY_KEYS,
     SERIES_COLUMNS,
@@ -360,3 +362,92 @@ def test_vortices_need_a_spin_density_on_the_grid():
     for bad in (spin_density(psi[:, :4, :]), s[:2]):
         with pytest.raises(GridMismatch):
             detect_vortices(bad, g)
+
+
+# ---------------------------------------------------------------------------
+# The periodic labeller against the scipy labelling it replaced
+# ---------------------------------------------------------------------------
+
+def reference_clusters(mask):
+    """The former labeller: ndimage.label, then a union-find that joins
+    labels meeting across the periodic edges."""
+    labels, n = ndimage.label(mask)
+    if n == 0:
+        return []
+    parent = list(range(n + 1))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+
+    for la, lb in zip(labels[0, :], labels[-1, :]):
+        if la and lb:
+            union(la, lb)
+    for la, lb in zip(labels[:, 0], labels[:, -1]):
+        if la and lb:
+            union(la, lb)
+    roots = {}
+    for lab in range(1, n + 1):
+        roots.setdefault(find(lab), []).append(lab)
+    out = []
+    for group in roots.values():
+        sel = np.isin(labels, group)
+        out.append(np.nonzero(sel))
+    return out
+
+
+def assert_same_clusters(got, want):
+    assert len(got) == len(want)
+    for (gi, gj), (wi, wj) in zip(got, want):
+        assert gi.dtype == wi.dtype and gj.dtype == wj.dtype
+        np.testing.assert_array_equal(gi, wi)
+        np.testing.assert_array_equal(gj, wj)
+
+
+def test_periodic_clusters_match_reference_on_random_masks():
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        nx, nz = rng.integers(1, 24, size=2)
+        mask = rng.random((nx, nz)) < rng.random()
+        assert_same_clusters(analysis._periodic_clusters(mask),
+                             reference_clusters(mask))
+
+
+def test_periodic_clusters_match_reference_on_edge_cases():
+    masks = [np.zeros((6, 9), bool), np.ones((6, 9), bool),
+             np.ones((1, 1), bool), np.ones((1, 7), bool)]
+    # a cluster wrapping across both axes, a corner-only contact (not
+    # 4-connected), and a full row and column crossing at the seams
+    wrap = np.zeros((8, 10), bool)
+    wrap[0, 0] = wrap[-1, 0] = wrap[0, -1] = wrap[-1, -1] = True
+    corner = np.zeros((8, 10), bool)
+    corner[0, 0] = corner[-1, -1] = True
+    cross = np.zeros((8, 10), bool)
+    cross[-1, :] = True
+    cross[:, -1] = True
+    cross[3, 0] = cross[0, 5] = True
+    masks += [wrap, corner, cross, ~wrap, ~cross]
+    for mask in masks:
+        assert_same_clusters(analysis._periodic_clusters(mask),
+                             reference_clusters(mask))
+
+
+def test_detect_vortices_unchanged_on_random_phase(monkeypatch):
+    g = Grid2D(nx=128, nz=512, lx=64.0, lz=420.0)
+    rng = np.random.default_rng(5)
+    theta = rng.uniform(0.0, TWO_PI, g.shape)
+    amp = rng.uniform(0.5, 1.0, g.shape)
+    s = np.stack([amp * np.cos(theta), amp * np.sin(theta),
+                  np.zeros(g.shape)])
+    got = detect_vortices(s, g)
+    monkeypatch.setattr(analysis, "_periodic_clusters", reference_clusters)
+    want = detect_vortices(s, g)
+    assert len(got) > 10000
+    assert got == want

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from spintex import constants as cn
-from spintex.dipole import (DipolarCoupling, helix_column_energy,
-                            interaction_kernel, normalize_mode, planar_tensor)
+from spintex import dipole
+from spintex.dipole import (DipolarCoupling, erfcx, interaction_kernel,
+                            normalize_mode, planar_tensor)
 from spintex.errors import InvalidParameter
 from spintex.grid import Grid2D
 from spintex.io_text import RunConfig
+from spintex.oracles import helix_column_energy
 from spintex.params import derive_params
 
 SIGMA_Y = 1.8 / math.sqrt(5.0)
@@ -89,6 +92,32 @@ def test_interaction_kernel_modes():
                                 for j in range(3)] for i in range(3)])
     assert np.abs(off_diag).max() == 0.0
     assert interaction_kernel(g, SIGMA_Y, "off") is None
+
+
+def test_erfcx_special_values():
+    assert erfcx(0.0) == 1.0
+    assert erfcx(np.inf) == 0.0
+    assert erfcx(np.array(0.3)).shape == ()
+    assert erfcx(np.array([[], []])).shape == (2, 0)
+    x = np.array([0.0, 0.5, 3.999, 4.0, 7.5, 1e3, 1e6])
+    np.testing.assert_allclose(erfcx(x), special.erfcx(x), rtol=2e-15)
+    assert np.isnan(erfcx(np.array([np.nan]))).all()
+
+
+@pytest.mark.parametrize("mode", ["bare", "larmor"])
+def test_interaction_kernel_matches_scipy_erfcx(monkeypatch, mode):
+    # the bench's slab and pulsed grids and a coarse one
+    for nx, nz, lx, lz in ((128, 512, 64.0, 420.0), (64, 256, 48.0, 320.0),
+                           (16, 32, 40.0, 30.0)):
+        g = Grid2D(nx=nx, nz=nz, lx=lx, lz=lz)
+        got = interaction_kernel(g, SIGMA_Y, mode)
+        with monkeypatch.context() as m:
+            m.setattr(dipole, "erfcx", special.erfcx)
+            want = interaction_kernel(g, SIGMA_Y, mode)
+        dev = np.abs(got - want).max() / np.abs(want).max()
+        assert dev <= 2e-15, (g.shape, dev)
+        # the entries that vanish exactly still do
+        np.testing.assert_array_equal(got[want == 0], 0.0)
 
 
 def test_coupling_off_is_inert():

@@ -458,6 +458,43 @@ def test_timeseries_rejects_foreign_columns(tmp_path):
         read_timeseries(path)
 
 
+def _timeseries_with_row(tmp_path, row_of):
+    """A three-row series file whose second data row (line 4) is
+    replaced by row_of(its fields)."""
+    path = str(tmp_path / "timeseries.csv")
+    write_timeseries(path, make_series(3), cfg_hash="abc")
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    lines[3] = row_of(lines[3].split(","))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
+
+
+def test_timeseries_rejects_short_row(tmp_path):
+    path = _timeseries_with_row(tmp_path, lambda f: ",".join(f[:2]))
+    with pytest.raises(InvalidParameter,
+                       match=r"timeseries\.csv: line 4: expected 11 values, "
+                             r"got 2"):
+        read_timeseries(path)
+
+
+def test_timeseries_rejects_non_number(tmp_path):
+    path = _timeseries_with_row(
+        tmp_path, lambda f: ",".join(["abc"] + f[1:]))
+    with pytest.raises(InvalidParameter,
+                       match=r"timeseries\.csv: line 4: .*'abc'"):
+        read_timeseries(path)
+
+
+def test_timeseries_rejects_ragged_row(tmp_path):
+    path = _timeseries_with_row(tmp_path, lambda f: ",".join(f + ["1.0"]))
+    with pytest.raises(InvalidParameter,
+                       match=r"timeseries\.csv: line 4: expected 11 values, "
+                             r"got 12"):
+        read_timeseries(path)
+
+
 # ---------------------------------------------------------------------------
 # Run directories
 # ---------------------------------------------------------------------------

@@ -12,8 +12,7 @@ import pytest
 
 from spintex import constants as cn
 from spintex import oracles
-from spintex.dipole import (DipolarCoupling, helix_column_energy,
-                            interaction_kernel, planar_tensor)
+from spintex.dipole import DipolarCoupling, interaction_kernel, planar_tensor
 from spintex.errors import InvalidParameter
 from spintex.field import spin_density, transverse_state
 from spintex.grid import Grid2D
@@ -54,14 +53,14 @@ def test_fft_field_matches_direct_sum():
 
 def test_column_quadrature_vs_closed_form():
     for kappa in (0.0, 2 * math.pi / 10.0, 2 * math.pi / 4.0):
-        closed = helix_column_energy(kappa, SIGMA_Y, 230.0)
+        closed = oracles.helix_column_energy(kappa, SIGMA_Y, 230.0)
         quad = oracles.column_energy_quadrature(kappa, SIGMA_Y, 230.0)
         assert quad == pytest.approx(closed, abs=1e-9)
 
 
 def test_column_3d_vs_closed_form():
     kappa = 2 * math.pi / 10.0
-    closed = helix_column_energy(kappa, SIGMA_Y, 230.0)
+    closed = oracles.helix_column_energy(kappa, SIGMA_Y, 230.0)
     brute = oracles.column_energy_numeric3d(kappa, SIGMA_Y, 230.0,
                                             n_r=200, n_theta=64, n_phi=48)
     assert brute == pytest.approx(closed, rel=5e-2)
