@@ -34,8 +34,8 @@ from .field import number_density, spin_density, thomas_fermi_density
 from .grid import Grid2D
 from .params import derive_params, trap_curvatures_hhz_um2
 
-POTENTIALS = ("none", "harmonic")
-PROFILES = ("uniform", "thomas-fermi")
+# the trap potential each density profile is prepared in
+_PROFILE_POTENTIAL = {"uniform": "none", "thomas-fermi": "harmonic"}
 
 
 @dataclass
@@ -102,12 +102,11 @@ class RunConfig:
     # -- validation ----------------------------------------------------
 
     def validate(self) -> "RunConfig":
-        if not isinstance(self.kernel_mode, str):
-            raise InvalidParameter(
-                f"kernel_mode must be a string, got {self.kernel_mode!r}")
-        self.kernel_mode = normalize_mode(self.kernel_mode)
         for name, kind in _FIELD_TYPES.items():
             value = getattr(self, name)
+            if kind is str and not (isinstance(value, str) and value):
+                raise InvalidParameter(
+                    f"{name} must be a string, and not empty; got {value!r}")
             if kind is not float:
                 continue
             if not (isinstance(value, (int, float)) and math.isfinite(value)):
@@ -115,6 +114,7 @@ class RunConfig:
                     f"{name} must be a finite number, got {value!r}")
             # as parse_config reads it back from meta, so the hash matches
             setattr(self, name, float(value))
+        self.kernel_mode = normalize_mode(self.kernel_mode)
         for name in _POSITIVE:
             if getattr(self, name) <= 0:
                 raise InvalidParameter(
@@ -134,6 +134,12 @@ class RunConfig:
         except InvalidParameter as exc:
             raise InvalidParameter(
                 f"k_cut_rad_um, k_lo_rad_um, k_hi_rad_um: {exc}") from None
+        # a noisy run's spectral floor comes from the modes beyond 2 k_hi
+        if self.noise_amplitude > 0 \
+                and not (grid.kmag > 2.0 * self.k_hi_rad_um).any():
+            raise InvalidParameter(
+                f"k_hi_rad_um = {self.k_hi_rad_um!r}: no grid modes beyond "
+                f"2 k_hi to take the noise floor from (noise_amplitude > 0)")
         if not (0.0 < self.dt_ms <= 0.2):
             raise InvalidParameter(
                 f"dt_ms must lie in (0, 0.2], got {self.dt_ms!r}")
@@ -158,19 +164,15 @@ class RunConfig:
                 raise InvalidParameter(
                     "snapshot_write_every_ms must be a multiple of "
                     "snapshot_every_ms")
-        if self.potential not in POTENTIALS:
+        if self.profile not in _PROFILE_POTENTIAL:
             raise InvalidParameter(
-                f"potential must be one of {POTENTIALS}, "
+                f"profile must be one of {tuple(_PROFILE_POTENTIAL)}, "
+                f"got {self.profile!r}")
+        needed = _PROFILE_POTENTIAL[self.profile]
+        if self.potential != needed:
+            raise InvalidParameter(
+                f"{self.profile} profile requires potential = {needed}, "
                 f"got {self.potential!r}")
-        if self.profile not in PROFILES:
-            raise InvalidParameter(
-                f"profile must be one of {PROFILES}, got {self.profile!r}")
-        if self.profile == "thomas-fermi" and self.potential != "harmonic":
-            raise InvalidParameter(
-                "thomas-fermi profile requires the harmonic potential")
-        if self.profile == "uniform" and self.potential != "none":
-            raise InvalidParameter(
-                "uniform profile requires potential = none")
         if self.profile == "thomas-fermi":
             vx, vz = trap_curvatures_hhz_um2(self)
             try:
@@ -212,10 +214,11 @@ def _convert(key: str, raw: str, line_no: int, line: str):
 def parse_config(text: str) -> RunConfig:
     """Parse key = value lines over the RunConfig defaults.
 
-    Unknown keys, malformed lines, and out-of-range values raise
+    Unknown or repeated keys, malformed lines, and out-of-range values raise
     InvalidParameter naming the offending line.  '#' starts a comment.
     """
     cfg = RunConfig()
+    seen = {}                   # key -> line it was set on
     for line_no, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -228,6 +231,10 @@ def parse_config(text: str) -> RunConfig:
         if key not in _FIELD_TYPES:
             raise InvalidParameter(
                 f"line {line_no}: unknown key {key!r}")
+        if key in seen:
+            raise InvalidParameter(
+                f"line {line_no}: key {key!r} repeats line {seen[key]}")
+        seen[key] = line_no
         setattr(cfg, key, _convert(key, raw, line_no, line))
     try:
         cfg.validate()

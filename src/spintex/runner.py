@@ -11,9 +11,9 @@ Progress lines (one per observation, one per sweep pitch) go to the
 attached, as the command-line interface does.
 
 run_sweep_kappa runs its pitches on one lane per usable CPU: lane 0 in
-the calling process, the others in worker processes.  It reports the
-pitches in pitch order, replaying a worker's held-back progress lines
-when it reaches that pitch, so the lines and files are those of a
+the calling process, the others in silent worker processes.  It reports
+the pitches in pitch order, making a worker's observation lines from the
+series it returns, so the lines and files are those of a
 one-after-another sweep.  The first failure in pitch order is raised,
 no gamma.csv is left (not even an earlier sweep's), and no worker
 outlives the call.
@@ -98,6 +98,11 @@ def _measure_row(t_ms: float, psi: np.ndarray, evolver: Evolver,
     return row
 
 
+def _log_observation(t_ms, short_order, total_power, n_vortices) -> None:
+    log.info("t = %8.2f ms   short/total = %.4f   vortices = %d", t_ms,
+             short_order / max(total_power, 1e-30), n_vortices)
+
+
 def _series(rows: list) -> OrderParamSeries:
     """Column series from the per-time row dicts of _measure_row."""
     return OrderParamSeries(
@@ -143,9 +148,8 @@ def run_simulate(cfg: RunConfig) -> RunResult:
         if n in (0, n_steps) or (write_every and n % write_every == 0):
             write_snapshot(os.path.join(run_dir, snapshot_name(t_ms)),
                            field, evolver.grid, t_ms, digest)
-        log.info("t = %8.2f ms   short/total = %.4f   vortices = %d", t_ms,
-                 row["short_order"] / max(row["total_power"], 1e-30),
-                 row["n_vortices"])
+        _log_observation(t_ms, row["short_order"], row["total_power"],
+                         row["n_vortices"])
 
     psi = evolve(psi, evolver, n_steps, pulses=pulses, observer=observer,
                  observe_every=cfg.steps(cfg.snapshot_every_ms))
@@ -207,23 +211,10 @@ def analyze_run(run_dir: str) -> OrderParamSeries:
 # Pitch sweep
 # ---------------------------------------------------------------------------
 
-def _run_pitch(cfg: RunConfig, level: int) -> tuple:
-    """A sweep worker's pitch: (series, its `spintex` records at level).
-
-    A worker may have inherited the caller's handlers or none at all, so
-    the records go to no handler but the returned list, and level is
-    passed in; the caller replays them in pitch order.
-    """
-    from logging.handlers import BufferingHandler   # sweeps only
-    held = BufferingHandler(math.inf)       # never flushes on its own
-    saved = log.handlers, log.propagate, log.level
-    log.handlers, log.propagate = [held], False
-    log.setLevel(level)
-    try:
-        return run_simulate(cfg).series, held.buffer
-    finally:
-        log.handlers, log.propagate = saved[:2]
-        log.setLevel(saved[2])
+def _run_pitch(cfg: RunConfig) -> OrderParamSeries:
+    """A sweep worker's series, INFO lines dropped; the caller makes them."""
+    log.setLevel(logging.WARNING)   # forked, it has the caller's handlers
+    return run_simulate(cfg).series
 
 
 def _usable_cpus() -> int:
@@ -248,7 +239,7 @@ def run_sweep_kappa(cfg: RunConfig, pitches) -> list:
     of running the pitches one after another, and so are the `spintex`
     progress lines.  The pitches are reported in pitch order, each
     followed by its gamma line: a worker's pitch is waited for and its
-    held-back lines replayed; lane 0's pitch runs here, once every
+    lines made from its series; lane 0's pitch runs here, once every
     earlier pitch is reported, with its lines logged live.  The first
     failure in pitch order is raised with its type and message; the
     pitches not yet started are cancelled, the running ones waited for,
@@ -275,7 +266,6 @@ def run_sweep_kappa(cfg: RunConfig, pitches) -> list:
         os.remove(path)
 
     lanes = min(_usable_cpus(), len(subs))
-    level = log.getEffectiveLevel()
     rows = []
     pool = None
     if lanes > 1:
@@ -283,14 +273,14 @@ def run_sweep_kappa(cfg: RunConfig, pitches) -> list:
         from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(lanes - 1)
     try:
-        futures = {i: pool.submit(_run_pitch, sub, level)
+        futures = {i: pool.submit(_run_pitch, sub)
                    for i, sub in enumerate(subs) if i % lanes}
         for i, (pitch, sub) in enumerate(zip(pitches, subs)):
             if i in futures:
-                series, records = futures[i].result()  # raises its failure
-                for record in records:
-                    if log.isEnabledFor(record.levelno):
-                        log.handle(record)
+                series = futures[i].result()    # raises its failure
+                for row in zip(series.t_ms, series.short_order,
+                               series.total_power, series.n_vortices):
+                    _log_observation(*row)
             else:
                 series = run_simulate(sub).series
             gamma = growth_rate(series)

@@ -154,6 +154,34 @@ def test_sweep_command(tmp_path, capsys):
                  "--pitches", "60,slow"]) == 1
 
 
+def test_sweep_prints_each_line_once_in_pitch_order(tmp_path):
+    # a forked worker holds the caller's stdout handler: a line it printed
+    # itself shows in the process's stdout, not in an in-memory handler
+    out_dir = str(tmp_path / "sweep")
+    script = (
+        "import multiprocessing, sys\n"
+        "multiprocessing.set_start_method('fork')\n"
+        "from spintex import cli, runner\n"
+        "runner._usable_cpus = lambda: 2\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spintex.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "sweep-kappa", "--config",
+         write_small(tmp_path), "--out", out_dir, "--pitches", "60,30,20"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3 * (5 + 1) + 1
+    for p, pitch in enumerate((60, 30, 20)):   # pitch 30 ran on lane 1
+        block = lines[6 * p:6 * p + 6]
+        for j, t_ms in enumerate(("0.00", "0.25", "0.50", "0.75", "1.00")):
+            assert block[j].startswith(f"t = {t_ms:>8} ms   short/total = ")
+        assert block[5].startswith(f"pitch {pitch:6.1f} um   kappa ")
+    assert lines[-1] == f"sweep complete: {out_dir}/gamma.csv"
+
+
 def test_invalid_config_exits_one(tmp_path, capsys):
     path = tmp_path / "cfg"
     path.write_text("dt_ms = -1\n")

@@ -78,6 +78,9 @@ def test_parse_errors_name_the_line():
         parse_config("nx = 64\nno_such_key = 1\n")
     with pytest.raises(InvalidParameter, match="line 3"):
         parse_config("\n\ndt_ms = fast\n")
+    with pytest.raises(InvalidParameter,
+                       match="line 3: key 'nx' repeats line 1"):
+        parse_config("nx = 32\n# a comment\nnx = 64\n")
 
 
 def test_parse_errors_name_the_key():
@@ -93,6 +96,8 @@ def test_parse_errors_name_the_key():
         parse_config("rng_seed = -3")
     with pytest.raises(InvalidParameter, match="kernel mode"):
         parse_config("kernel_mode = secular")
+    with pytest.raises(InvalidParameter, match="out_dir.*not empty"):
+        parse_config("out_dir = ")
 
 
 def test_profile_potential_pairing():
@@ -177,6 +182,9 @@ def test_snapshot_cadence_pairing():
     ("rng_seed", False, "rng_seed must be a nonnegative integer"),
     ("kernel_mode", None, "kernel_mode must be a string"),
     ("kernel_mode", 3, "kernel_mode must be a string"),
+    ("out_dir", None, "out_dir must be a string"),
+    ("out_dir", "", "out_dir must be a string, and not empty"),
+    ("profile", None, "profile must be a string"),
 ])
 def test_validate_names_a_field_of_the_wrong_type(key, value, message):
     with pytest.raises(InvalidParameter, match=message):

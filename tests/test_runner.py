@@ -326,6 +326,19 @@ def test_run_validates_config(tmp_path):
         run_simulate(cfg)
 
 
+def test_noisy_run_needs_modes_beyond_2_k_hi(tmp_path):
+    # at 0.8 of the 6.28 rad/um Nyquist, 2 k_hi = 10.05 lies beyond the
+    # grid's largest |k| = 8.89, so no noise floor can be estimated
+    cfg = small_cfg(tmp_path, noise_amplitude=0.0, lz_um=32.0,
+                    atom_number=D.n2d_peak * 16.0 * 32.0, k_cut_rad_um=0.5,
+                    k_lo_rad_um=1.0, k_hi_rad_um=5.03)
+    with pytest.raises(InvalidParameter,
+                       match="k_hi_rad_um.*noise_amplitude > 0"):
+        run_simulate(replace(cfg, noise_amplitude=1e-3))
+    assert not os.path.exists(cfg.out_dir)
+    assert is_complete(run_simulate(cfg).run_dir)
+
+
 def test_invalid_sweep_leaves_no_directory(tmp_path):
     out = str(tmp_path / "sweep")
     with pytest.raises(InvalidParameter, match="nx must be a power of two"):
