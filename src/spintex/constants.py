@@ -25,7 +25,6 @@ GF = 0.5                         # Lande g-factor magnitude
 
 # metric prefixes
 UM = 1e-6                        # m per um
-MS = 1e-3                        # s per ms
 NM = 1e-9                        # m per nm
 G_PER_T = 1e4                    # gauss per tesla
 
@@ -47,11 +46,6 @@ CDD_HHZ_UM3 = MU0_SI * MU_ATOM_SI**2 / (4.0 * math.pi) / H_SI / UM**3
 
 # Larmor frequency per gauss: gF muB / h
 LARMOR_HZ_PER_G = GF * MUB_SI / H_SI / G_PER_T
-
-# phase-winding rate of a field gradient: kappa accumulates at
-# GRAD_COEF * B' rad per ms per um for B' in mG/cm
-MG_CM_TO_G_UM = 1e-3 / 1e4               # G/um per mG/cm
-GRAD_COEF = (GF * MUB_SI / HBAR_SI) / G_PER_T * MG_CM_TO_G_UM * MS
 
 
 def contact_coupling_hhz_um3(a_nm: float) -> float:

@@ -26,8 +26,9 @@ depend on the block size, bit for bit.  The kinetic FFTs run one spin
 component at a time.
 
 Evolver(grid, dt_ms, *, q_hz, c0_2d, c2_2d, sigma_y_um, c_dd,
-kernel_mode, gradient_mg_cm, potential) takes its coefficients by
-keyword: c0_2d and c2_2d in h*Hz um^2, c_dd in h*Hz um^3.
+kernel_mode, potential=None) takes its coefficients by keyword: c0_2d
+and c2_2d in h*Hz um^2, c_dd in h*Hz um^3, and potential (h*Hz, zero
+if None).
 
 Units: energies in h*Hz, time in ms, lengths in um.  The local phases
 are converted with RADPMS_PER_HHZ once per application.
@@ -54,8 +55,7 @@ class Evolver:
 
     def __init__(self, grid: Grid2D, dt_ms: float, *, q_hz: float,
                  c0_2d: float, c2_2d: float, sigma_y_um: float, c_dd: float,
-                 kernel_mode: str = "bare", gradient_mg_cm: float = 0.0,
-                 potential: np.ndarray = None):
+                 kernel_mode: str, potential: np.ndarray = None):
         if not (0.0 < dt_ms <= 0.2):
             raise InvalidParameter(f"dt_ms must be in (0, 0.2], got {dt_ms!r}")
         if potential is None:
@@ -71,9 +71,6 @@ class Evolver:
         self.c2_2d = c2_2d
         self.potential = potential
         self.coupling = DipolarCoupling(grid, sigma_y_um, kernel_mode, c_dd)
-        # linear Zeeman from a residual field gradient along z, h*Hz
-        slope = cn.LARMOR_HZ_PER_G * cn.MG_CM_TO_G_UM * gradient_mg_cm
-        self.linear_z = slope * grid.z[None, :]
         self._kin_half = np.exp(-0.5j * cn.KIN_COEF * grid.k2 * dt_ms)
         self._kin_full = self._kin_half * self._kin_half
 
@@ -124,7 +121,7 @@ class Evolver:
             return zeeman_like_apply(psi[:, r], th, u, self.q_hz,
                                      c2 * s[0, r] - b[0, r],
                                      c2 * s[1, r] - b[1, r],
-                                     c2 * s[2, r] - b[2, r] + self.linear_z)
+                                     c2 * s[2, r] - b[2, r])
 
         for r in blocks:
             s[:, r] = spin_density(psi[:, r])
@@ -173,8 +170,7 @@ class Evolver:
         e_c2 = 0.5 * self.c2_2d * float((s * s).sum()) * da
         n_pm = (psi[0].real**2 + psi[0].imag**2
                 + psi[2].real**2 + psi[2].imag**2)
-        e_zee = self.q_hz * float(n_pm.sum()) * da \
-            + float((self.linear_z * s[2]).sum()) * da
+        e_zee = self.q_hz * float(n_pm.sum()) * da
         e_dd = self.coupling.energy(s)
         total = e_kin + e_pot + e_c0 + e_c2 + e_zee + e_dd
         return {"e_kin": e_kin, "e_pot": e_pot, "e_c0": e_c0, "e_c2": e_c2,

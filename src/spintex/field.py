@@ -140,28 +140,6 @@ def zeeman_like_apply(psi, dt, u, q, vx, vy, vz):
 # Initial states
 # ---------------------------------------------------------------------------
 
-def _box_envelope(grid: Grid2D, fill: float) -> np.ndarray:
-    """Flat-top envelope covering `fill` of each period, smooth edges.
-
-    fill >= 1 returns exactly 1 everywhere (fully periodic uniform
-    cloud); otherwise the edge rolls off over two healing-scale cells
-    with a cos^2 profile.
-    """
-    if fill >= 1.0:
-        return np.ones(grid.shape)
-    wx = 0.5 * fill * grid.lx
-    wz = 0.5 * fill * grid.lz
-    rampx = max(2.0 * grid.dx, 0.05 * wx)
-    rampz = max(2.0 * grid.dz, 0.05 * wz)
-
-    def ramp(coord, w, ell):
-        t = (np.abs(coord) - (w - ell)) / ell
-        t = np.clip(t, 0.0, 1.0)
-        return np.cos(0.5 * math.pi * t) ** 2 * (np.abs(coord) < w)
-
-    return ramp(grid.xmesh, wx, rampx) * ramp(grid.zmesh, wz, rampz)
-
-
 def thomas_fermi_density(grid: Grid2D, vx: float, vz: float, c0_2d: float,
                          atom_number: float) -> np.ndarray:
     """Column density of the interacting ground state in a 2D harmonic trap.
@@ -184,22 +162,20 @@ def thomas_fermi_density(grid: Grid2D, vx: float, vz: float, c0_2d: float,
 
 
 def prepare_initial(grid: Grid2D, profile: str, atom_number: float,
-                    c0_2d: float, vx: float = 0.0, vz: float = 0.0,
-                    box_fill: float = 1.0) -> tuple:
+                    c0_2d: float, vx: float = 0.0, vz: float = 0.0) -> tuple:
     """(psi, potential): a longitudinally polarized (m = -1) cloud.
 
-    `profile` is "uniform" (flat-top box, exactly periodic when
-    box_fill >= 1) or "thomas-fermi" (harmonic-trap ground-state shape;
-    requires vx, vz > 0).  The potential is the matching external trap
-    in h*Hz (zero for uniform).
+    `profile` is "uniform" (the same density at every site, a periodic
+    slab) or "thomas-fermi" (harmonic-trap ground-state shape; requires
+    vx, vz > 0).  The potential is the matching external trap in h*Hz
+    (zero for uniform).
     """
     if atom_number <= 0:
         raise InvalidParameter(f"atom_number must be positive, "
                                f"got {atom_number!r}")
     if profile == "uniform":
-        env = _box_envelope(grid, box_fill)
-        norm = env.sum() * grid.cell_area
-        dens = env * (atom_number / norm)
+        dens = np.full(grid.shape,
+                       atom_number / (grid.nx * grid.nz * grid.cell_area))
         pot = np.zeros(grid.shape)
     elif profile == "thomas-fermi":
         dens = thomas_fermi_density(grid, vx, vz, c0_2d, atom_number)

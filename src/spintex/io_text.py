@@ -70,9 +70,10 @@ class RunConfig:
     snapshot_every_ms: float = 5.0
     snapshot_write_every_ms: float = 0.0
     kernel_mode: str = "larmor"
-    residual_gradient_mg_cm: float = 0.0
     potential: str = "harmonic"     # must match profile, which sets the trap
     profile: str = "thomas-fermi"
+    # must be 1.0 (a uniform cloud fills the box); kept while the
+    # benchmark's workloads still pass it
     box_fill: float = 1.0
     # protocol
     helix_pitch_um: float = 60.0
@@ -109,7 +110,9 @@ class RunConfig:
                     f"{name} must be a string, and not empty; got {value!r}")
             if kind is not float:
                 continue
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+            # a bool is an int, and the run would take True for 1.0
+            if isinstance(value, bool) or not (
+                    isinstance(value, (int, float)) and math.isfinite(value)):
                 raise InvalidParameter(
                     f"{name} must be a finite number, got {value!r}")
             # as parse_config reads it back from meta, so the hash matches
@@ -182,9 +185,9 @@ class RunConfig:
                 raise InvalidParameter(
                     f"atom_number, trap_x_hz, trap_z_hz, lx_um and lz_um "
                     f"give no Thomas-Fermi cloud that fits: {exc}") from None
-        if not (0.0 < self.box_fill <= 1.0):
+        if self.box_fill != 1.0:
             raise InvalidParameter(
-                f"box_fill must lie in (0, 1], got {self.box_fill!r}")
+                f"box_fill must be 1.0, got {self.box_fill!r}")
         # type, not isinstance: a bool is an int, and meta would say True
         if type(self.rng_seed) is not int or self.rng_seed < 0:
             raise InvalidParameter(
@@ -198,8 +201,7 @@ _POSITIVE = ("a0_nm", "a2_nm", "n0_cm3", "atom_number", "sigma_y_um",
              "q_coeff_hz_g2", "lx_um", "lz_um")
 _NONNEGATIVE = ("b0_mg", "trap_x_hz", "trap_z_hz",
                 "t_final_ms", "snapshot_every_ms", "snapshot_write_every_ms",
-                "residual_gradient_mg_cm", "helix_pitch_um",
-                "noise_amplitude", "cancel_pulse_rate_khz")
+                "helix_pitch_um", "noise_amplitude", "cancel_pulse_rate_khz")
 
 
 def _convert(key: str, raw: str, line_no: int, line: str):

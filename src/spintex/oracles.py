@@ -136,15 +136,6 @@ def direct_lattice_field(s: np.ndarray, table: np.ndarray, c_dd: float,
     return -c_dd * cell_area * out
 
 
-def fft_lattice_field(s: np.ndarray, table: np.ndarray, c_dd: float,
-                      cell_area: float) -> np.ndarray:
-    """Same circular convolution as direct_lattice_field done by FFT."""
-    wk = np.fft.fft2(table, axes=(-2, -1))
-    sk = np.fft.fft2(s, axes=(-2, -1))
-    bk = np.einsum("ij...,j...->i...", wk, sk)
-    return -c_dd * cell_area * np.fft.ifft2(bk, axes=(-2, -1)).real
-
-
 # ---------------------------------------------------------------------------
 # Wound-column dipolar energy by 3D real-space integration
 # ---------------------------------------------------------------------------

@@ -60,13 +60,11 @@ def build_evolver(cfg: RunConfig) -> tuple:
     grid = cfg.grid()
     vx, vz = trap_curvatures_hhz_um2(cfg)
     psi, potential = prepare_initial(grid, cfg.profile, cfg.atom_number,
-                                     derived.c0_2d, vx=vx, vz=vz,
-                                     box_fill=cfg.box_fill)
+                                     derived.c0_2d, vx=vx, vz=vz)
     evolver = Evolver(grid, cfg.dt_ms, q_hz=derived.q_hz,
                       c0_2d=derived.c0_2d, c2_2d=derived.c2_2d,
                       sigma_y_um=cfg.sigma_y_um, c_dd=derived.c_dd,
                       kernel_mode=cfg.kernel_mode,
-                      gradient_mg_cm=cfg.residual_gradient_mg_cm,
                       potential=potential)
     return evolver, psi
 

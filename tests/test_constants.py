@@ -18,7 +18,6 @@ def test_unit_conversions():
     assert cn.RADPMS_PER_HHZ == 2.0 * math.pi * 1e-3
     # one h*Hz of energy advances phase by 2 pi per second
     assert abs(cn.RADPMS_PER_HHZ * 1000.0 - 2.0 * math.pi) < 1e-15
-    assert cn.MG_CM_TO_G_UM == 1e-7
 
 
 def test_kinetic_coefficient():
@@ -30,16 +29,11 @@ def test_kinetic_coefficient():
     assert cn.KIN_COEF == cn.EKIN_HHZ_PER_K2 * cn.RADPMS_PER_HHZ
 
 
-def test_larmor_and_gradient_rates():
+def test_larmor_rate():
     # gF muB B / h for gF = 1/2, per gauss
     expected = 0.5 * cn.MUB_SI / cn.H_SI * 1e-4
     assert abs(cn.LARMOR_HZ_PER_G - expected) / expected < 1e-5
     assert abs(cn.LARMOR_HZ_PER_G - 6.99812e5) < 20.0
-    # winding rate: rad per (ms um) per (mG/cm); built from hbar, so it
-    # matches 2 pi times the h-based Larmor rate only to CODATA rounding
-    expected_grad = 2.0 * math.pi * cn.LARMOR_HZ_PER_G * cn.MG_CM_TO_G_UM * 1e-3
-    assert abs(cn.GRAD_COEF - expected_grad) / expected_grad < 1e-8
-    assert abs(cn.GRAD_COEF - 4.3970500295950914e-4) < 1e-18
 
 
 def test_contact_coupling():

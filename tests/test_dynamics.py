@@ -21,10 +21,10 @@ NBAR = D.n2d_peak
 
 
 def make_evolver(grid, dt=0.05, q=D.q_hz, c0=D.c0_2d, c2=D.c2_2d,
-                 mode="bare", gradient=0.0, potential=None):
+                 mode="bare", potential=None):
     return Evolver(grid, dt, q_hz=q, c0_2d=c0, c2_2d=c2, sigma_y_um=SIGMA_Y,
                    c_dd=cn.CDD_HHZ_UM3, kernel_mode=mode,
-                   gradient_mg_cm=gradient, potential=potential)
+                   potential=potential)
 
 
 def uniform_transverse(grid, nbar=NBAR):
@@ -220,19 +220,6 @@ def test_modulated_texture_kinetic_energy():
     assert 0.4 < mk[:, near].sum() / total < 0.6
 
 
-def test_residual_gradient_winds():
-    g = Grid2D(nx=8, nz=64, lx=4.0, lz=60.0)
-    grad = 2000.0
-    ev = make_evolver(g, q=0.0, c0=0.0, c2=0.0, mode="off", gradient=grad)
-    psi = evolve(uniform_transverse(g), ev, 1)
-    s = spin_density(psi)
-    phase = np.unwrap(np.angle(s[0, 0, :] + 1j * s[1, 0, :]))
-    slopes = np.diff(phase) / g.dz
-    expected = cn.GRAD_COEF * grad * 0.05
-    interior = slopes[10:-10]
-    assert np.abs(interior - expected).max() < 1e-3 * abs(expected)
-
-
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_nan_detection(monkeypatch):
     g = Grid2D(nx=8, nz=8, lx=4.0, lz=4.0)
@@ -336,7 +323,7 @@ def test_blocks_of_rows_do_not_change_the_step(monkeypatch):
     results = []
     for block_sites in (g.nx * g.nz, 24):
         monkeypatch.setattr(dynamics, "_BLOCK_SITES", block_sites)
-        ev = make_evolver(g, gradient=0.5, potential=potential)
+        ev = make_evolver(g, potential=potential)
         results.append(evolve(psi0, ev, 5))
     assert np.array_equal(results[0], results[1])
 

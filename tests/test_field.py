@@ -10,7 +10,6 @@ from spintex.field import (add_noise, imprint_helix, number_density,
                            spin_matrices, thomas_fermi_density,
                            transverse_state, zeeman_like_apply)
 from spintex.grid import Grid2D
-from spintex.io_text import RunConfig
 
 def test_spin_matrices_algebra():
     fx, fy, fz = spin_matrices()
@@ -190,16 +189,15 @@ def test_thomas_fermi_containment_error():
 
 def test_prepare_initial_uniform():
     g = Grid2D(nx=16, nz=32, lx=8.0, lz=16.0)
-    psi, potential = prepare_initial(g, "uniform", 640.0, 2.0, box_fill=1.0)
+    psi, potential = prepare_initial(g, "uniform", 640.0, 2.0)
     n = number_density(psi)
     assert np.allclose(n, 5.0)                    # 640 / 128 um^2
+    # the same density at every site
+    assert np.all(n == n[0, 0])
     # all atoms in m = -1
     assert np.abs(psi[0]).max() == 0.0
     assert np.abs(psi[1]).max() == 0.0
     assert np.all(potential == 0.0)
-    # the default fills the box, as a default RunConfig does
-    assert RunConfig.box_fill == 1.0
-    assert np.array_equal(prepare_initial(g, "uniform", 640.0, 2.0)[0], psi)
 
 
 def test_prepare_initial_trap():

@@ -90,6 +90,9 @@ def test_parse_errors_name_the_key():
         parse_config("dt_ms = 0.05\nt_final_ms = 0.07\n")
     with pytest.raises(InvalidParameter, match="box_fill"):
         parse_config("box_fill = 1.5")
+    # a uniform cloud fills its box: no partly filled box is built
+    with pytest.raises(InvalidParameter, match="box_fill must be 1.0"):
+        parse_config("profile = uniform\npotential = none\nbox_fill = 0.5\n")
     with pytest.raises(InvalidParameter, match="noise_amplitude"):
         parse_config("noise_amplitude = -0.001")
     with pytest.raises(InvalidParameter, match="rng_seed"):
@@ -185,6 +188,10 @@ def test_snapshot_cadence_pairing():
     ("out_dir", None, "out_dir must be a string"),
     ("out_dir", "", "out_dir must be a string, and not empty"),
     ("profile", None, "profile must be a string"),
+    # a bool is not a number, though Python takes True for 1
+    ("noise_amplitude", True, "noise_amplitude must be a finite number"),
+    ("helix_pitch_um", True, "helix_pitch_um must be a finite number"),
+    ("a0_nm", False, "a0_nm must be a finite number"),
 ])
 def test_validate_names_a_field_of_the_wrong_type(key, value, message):
     with pytest.raises(InvalidParameter, match=message):
@@ -244,7 +251,7 @@ def test_config_hash_tracks_content():
     b = parse_config("rng_seed = 4321")
     ha, hb = config_hash(a), config_hash(b)
     assert ha != hb
-    assert ha == "6c2e3ebd5629"     # meta files of the defaults still match
+    assert ha == "2043d037650b"     # meta files of the defaults still match
     assert len(ha) == 12
     int(ha, 16)
     # where a run is written is not part of what it is
@@ -519,7 +526,7 @@ def test_meta_and_done_markers(tmp_path):
             if ln.strip() and not ln.startswith("#")]
     assert keys == [f.name for f in dataclasses.fields(RunConfig)
                     if f.name != "out_dir"]
-    assert len(keys) == 29
+    assert len(keys) == 28
     assert not is_complete(run_dir)
     mark_done(run_dir)
     assert is_complete(run_dir)

@@ -169,6 +169,23 @@ def test_analyze_run_error_cases(tmp_path):
         analyze_run(result.run_dir)
 
 
+def test_analyze_run_refuses_a_meta_with_the_residual_gradient(tmp_path):
+    # meta files of earlier versions list residual_gradient_mg_cm; such
+    # a run is re-run, not read under a guessed config
+    result = run_simulate(small_cfg(tmp_path, t_final_ms=0.0,
+                                    noise_amplitude=0.0))
+    meta = Path(result.run_dir) / "meta"
+    text = meta.read_text(encoding="utf-8")
+    line = "kernel_mode = bare\n"
+    assert text.count(line) == 1
+    meta.write_text(text.replace(
+        line, line + "residual_gradient_mg_cm = 0.0\n"), encoding="utf-8")
+    with pytest.raises(InvalidParameter) as info:
+        analyze_run(result.run_dir)
+    assert str(meta) in str(info.value)
+    assert "unknown key 'residual_gradient_mg_cm'" in str(info.value)
+
+
 def test_analyze_run_rejects_snapshots_of_another_run(tmp_path):
     small = dict(nx=16, lx_um=8.0, atom_number=D.n2d_peak * 8.0 * 60.0)
     other = run_simulate(small_cfg(tmp_path, out_dir=str(tmp_path / "other"),
