@@ -5,9 +5,9 @@ Subcommands: constants (print the derived parameter table), simulate
 stored snapshots), sweep-kappa (growth rate vs helix pitch), selfcheck
 (cross-validation battery).  Progress goes through the "spintex"
 logger, which main sends to stdout: simulate and analyze print one line
-per observed time, sweep-kappa the lines of each run plus one per pitch,
-selfcheck its report.  Errors go to stderr.  Exit codes: 0 success, 1
-validation or usage error, 2 numerical failure.
+per observed time (one formatter for both), sweep-kappa the lines of its
+runs plus one per pitch, selfcheck its report.  Errors go to stderr.
+Exit codes: 0 success, 1 validation or usage error, 2 numerical failure.
 """
 
 import argparse

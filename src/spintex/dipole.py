@@ -18,12 +18,14 @@ the Hamiltonian as -b.F, so the interaction energy is
 
     E = -(1/2) sum b.s dA.
 
-Kernel modes:
+Kernel modes, which interaction_kernel alone reads:
   "bare"    full tensor Q
   "larmor"  average of Q over rapid spin precession about z: the
             transverse block becomes isotropic, Qxx = Qyy = Dzz/2,
             Qzz = -Dzz, off-diagonal terms vanish
-  "off"     coupling disabled
+  "off"     no coupling (None)
+DipolarCoupling(grid, kernel, c_dd) applies a kernel already built, by
+interaction_kernel or otherwise (an oracle's lattice table).
 
 erfcx is this module's own, in numpy and the standard library: below
 x = 4 it is exp(x^2) erfc(x), with x^2 split exactly into two doubles
@@ -36,7 +38,7 @@ scipy.special.erfcx (a check of the self-check battery holds it to
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,17 +119,12 @@ def interaction_kernel(grid: Grid2D, sigma_y: float, mode: str) -> np.ndarray:
 
 @dataclass
 class DipolarCoupling:
-    """Precomputed kernel bound to a grid; maps spin density to field."""
+    """A built kernel Q[3, 3, nx, nz//2+1] on the rfft2 layout (xy and yz
+    entries zero) or None, bound to its grid; maps spin density to field."""
 
     grid: Grid2D
-    sigma_y: float
-    mode: str
+    kernel: np.ndarray
     c_dd: float                       # h*Hz um^3
-    kernel: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.mode = normalize_mode(self.mode)
-        self.kernel = interaction_kernel(self.grid, self.sigma_y, self.mode)
 
     def field_of(self, s: np.ndarray) -> np.ndarray:
         """b[3, nx, nz] in h*Hz for planar spin density s in um^-2."""
@@ -135,7 +132,7 @@ class DipolarCoupling:
             return np.zeros_like(s)
         q = self.kernel
         sk = np.fft.rfft2(s, axes=(-2, -1))
-        # Q01, Q10, Q12 and Q21 vanish in both the bare and larmor modes
+        # Q01, Q10, Q12 and Q21 vanish
         bk = np.stack([q[0, 0] * sk[0] + q[0, 2] * sk[2], q[1, 1] * sk[1],
                        q[2, 0] * sk[0] + q[2, 2] * sk[2]])
         return self.c_dd * np.fft.irfft2(bk, s=self.grid.shape, axes=(-2, -1))

@@ -39,7 +39,7 @@ import math
 import numpy as np
 
 from . import constants as cn
-from .dipole import DipolarCoupling
+from .dipole import DipolarCoupling, interaction_kernel
 from .errors import InvalidParameter, NumericalFailure
 from .field import (number_density, rotate_spinor, spin_density,
                     zeeman_like_apply)
@@ -70,7 +70,8 @@ class Evolver:
         self.c0_2d = c0_2d
         self.c2_2d = c2_2d
         self.potential = potential
-        self.coupling = DipolarCoupling(grid, sigma_y_um, kernel_mode, c_dd)
+        self.coupling = DipolarCoupling(
+            grid, interaction_kernel(grid, sigma_y_um, kernel_mode), c_dd)
         self._kin_half = np.exp(-0.5j * cn.KIN_COEF * grid.k2 * dt_ms)
         self._kin_full = self._kin_half * self._kin_half
 

@@ -131,6 +131,11 @@ class RunConfig:
                 f"a0_nm and a2_nm must differ (the spin healing length "
                 f"diverges), got {self.a0_nm!r} for both")
         grid = self.grid()
+        if 0 < self.helix_pitch_um <= 2.0 * grid.dz:   # it would alias
+            raise InvalidParameter(
+                f"helix_pitch_um = {self.helix_pitch_um!r} must exceed "
+                f"2 lz_um/nz = {2.0 * grid.dz!r} um (lz_um = {self.lz_um!r}, "
+                f"nz = {self.nz!r})")
         try:
             check_regions(grid, self.k_cut_rad_um, self.k_lo_rad_um,
                           self.k_hi_rad_um)

@@ -15,7 +15,7 @@ from scipy import integrate
 from scipy.special import exp1
 
 from . import constants as cn
-from .dipole import DipolarCoupling
+from .dipole import DipolarCoupling, interaction_kernel
 from .errors import InvalidParameter
 from .field import spin_density
 from .grid import Grid2D
@@ -286,22 +286,21 @@ def single_site_reference(psi0: np.ndarray, t_eval, q_hz: float,
 # ---------------------------------------------------------------------------
 
 def pair_interaction_energy(axis_spin: str, grid: Grid2D, sigma_y: float,
-                            c_dd: float, separation_cells: int = 3,
-                            flip_sign: bool = False) -> float:
+                            c_dd: float) -> float:
     """Cross interaction energy of two localized spins on the grid.
 
-    Places unit spin density in two cells separated along x and returns
-    E(pair) - E(first) - E(second), which cancels the self energies.
-    axis_spin chooses the common orientation: "z" gives side-by-side
-    dipoles (must repel, positive energy), "x" gives head-to-tail
-    (must attract, negative).  flip_sign applies the opposite kernel
-    sign for negative-control checks.
+    Places unit spin density in two cells three apart along x and
+    returns E(pair) - E(first) - E(second), which cancels the self
+    energies.  axis_spin chooses the common orientation: "z" gives
+    side-by-side dipoles (must repel, positive energy), "x" gives
+    head-to-tail (must attract, negative).  The energy is linear in c_dd.
     """
     if axis_spin not in ("x", "z"):
         raise InvalidParameter(f"axis_spin must be 'x' or 'z', "
                                f"got {axis_spin!r}")
     comp = 0 if axis_spin == "x" else 2
-    coupling = DipolarCoupling(grid, sigma_y, "bare", c_dd)
+    coupling = DipolarCoupling(grid, interaction_kernel(grid, sigma_y, "bare"),
+                               c_dd)
     i0, j0 = grid.nx // 2, grid.nz // 2
     amp = 1.0 / grid.cell_area
 
@@ -309,9 +308,8 @@ def pair_interaction_energy(axis_spin: str, grid: Grid2D, sigma_y: float,
         s = np.zeros((3, grid.nx, grid.nz))
         for (i, j) in cells:
             s[comp, i, j] = amp
-        e = coupling.energy(s)
-        return -e if flip_sign else e
+        return coupling.energy(s)
 
     a = (i0, j0)
-    b = ((i0 + separation_cells) % grid.nx, j0)
+    b = ((i0 + 3) % grid.nx, j0)
     return energy([a, b]) - energy([a]) - energy([b])

@@ -199,9 +199,8 @@ def analyze_run(run_dir: str) -> OrderParamSeries:
     series = _series(rows)
     write_timeseries(os.path.join(run_dir, "analysis.csv"), series, digest)
     for r in rows:
-        log.info("t = %8.2f ms   long = %.4e   short = %.4e   vortices = %d",
-                 r["t_ms"], r["long_order"], r["short_order"],
-                 r["n_vortices"])
+        _log_observation(r["t_ms"], r["short_order"], r["total_power"],
+                         r["n_vortices"])
     return series
 
 

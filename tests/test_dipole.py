@@ -122,7 +122,8 @@ def test_interaction_kernel_matches_scipy_erfcx(monkeypatch, mode):
 
 def test_coupling_off_is_inert():
     g = Grid2D(nx=8, nz=8, lx=4.0, lz=4.0)
-    c = DipolarCoupling(g, SIGMA_Y, "off", cn.CDD_HHZ_UM3)
+    c = DipolarCoupling(g, interaction_kernel(g, SIGMA_Y, "off"),
+                        cn.CDD_HHZ_UM3)
     s = np.ones((3, 8, 8))
     assert np.abs(c.field_of(s)).max() == 0.0
     assert c.energy(s) == 0.0
@@ -134,7 +135,8 @@ def test_field_of_is_the_full_tensor_product():
     g = Grid2D(nx=16, nz=32, lx=8.0, lz=20.0)
     s = np.random.default_rng(4).standard_normal((3, 16, 32))
     for mode in ("bare", "larmor"):
-        c = DipolarCoupling(g, SIGMA_Y, mode, cn.CDD_HHZ_UM3)
+        c = DipolarCoupling(g, interaction_kernel(g, SIGMA_Y, mode),
+                            cn.CDD_HHZ_UM3)
         for i, j in ((0, 1), (1, 0), (1, 2), (2, 1)):
             assert not c.kernel[i, j].any()
         sk = np.fft.rfft2(s, axes=(-2, -1))
@@ -146,7 +148,8 @@ def test_field_of_is_the_full_tensor_product():
 
 def test_coupling_energy_definition():
     g = Grid2D(nx=16, nz=16, lx=8.0, lz=8.0)
-    c = DipolarCoupling(g, SIGMA_Y, "bare", cn.CDD_HHZ_UM3)
+    c = DipolarCoupling(g, interaction_kernel(g, SIGMA_Y, "bare"),
+                        cn.CDD_HHZ_UM3)
     rng = np.random.default_rng(2)
     s = rng.standard_normal((3, 16, 16))
     b = c.field_of(s)
@@ -162,9 +165,9 @@ def test_pair_sign_conventions():
     e_chain = pair_interaction_energy("x", g, SIGMA_Y, cn.CDD_HHZ_UM3)
     assert e_side == pytest.approx(8.061e-4, rel=1e-3)
     assert e_chain == pytest.approx(-1.143e-3, rel=1e-3)
-    assert pair_interaction_energy("z", g, SIGMA_Y, cn.CDD_HHZ_UM3,
-                                   flip_sign=True) \
-        == pytest.approx(-e_side, rel=1e-12)
+    # the energy is linear in c_dd, bit for bit
+    assert pair_interaction_energy("z", g, SIGMA_Y, -cn.CDD_HHZ_UM3) \
+        == -e_side
 
 
 def test_helix_column_energy_frozen():

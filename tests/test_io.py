@@ -198,6 +198,18 @@ def test_validate_names_a_field_of_the_wrong_type(key, value, message):
         RunConfig(**{key: value}).validate()
 
 
+@pytest.mark.parametrize("pitch", [0.1, 1.625])
+def test_helix_pitch_the_grid_cannot_resolve_rejected(pitch):
+    # dz = 416/512 = 0.8125 um: a 0.1 um pitch would wind a 6.5 um helix
+    with pytest.raises(InvalidParameter,
+                       match=r"helix_pitch_um = .* 2 lz_um/nz = 1\.625 um "
+                             r"\(lz_um = 416\.0, nz = 512\)"):
+        RunConfig(helix_pitch_um=pitch, profile="uniform",
+                  potential="none").validate()
+    assert RunConfig(helix_pitch_um=1.7, profile="uniform",
+                     potential="none").validate().helix_pitch_um == 1.7
+
+
 @pytest.mark.parametrize("rate_khz, dt_ms", [
     (1e300, 0.05), (20.5, 0.05), (5.5, 0.2)])
 def test_pulse_rate_above_one_per_step_rejected(rate_khz, dt_ms):

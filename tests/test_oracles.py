@@ -46,8 +46,8 @@ def test_fft_field_matches_direct_sum():
     s = rng.standard_normal((3, 8, 8))
     direct = oracles.direct_lattice_field(s, table, cn.CDD_HHZ_UM3,
                                           g.cell_area)
-    coupling = DipolarCoupling(g, SIGMA_Y, "off", cn.CDD_HHZ_UM3)
-    coupling.kernel = -g.cell_area * np.fft.rfft2(table, axes=(-2, -1))
+    coupling = DipolarCoupling(
+        g, -g.cell_area * np.fft.rfft2(table, axes=(-2, -1)), cn.CDD_HHZ_UM3)
     fast = coupling.field_of(s)
     scale = np.abs(direct).max()
     assert np.abs(fast - direct).max() / scale < 1e-10

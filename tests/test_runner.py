@@ -107,6 +107,28 @@ def read_tree(root) -> dict:
             for path, _, names in os.walk(root) for name in names}
 
 
+def test_pulsed_run_fires_its_schedule(tmp_path):
+    cfg = small_cfg(tmp_path, t_final_ms=2.0, cancel_pulse_rate_khz=1.5)
+    result = run_simulate(cfg)
+    # the run is evolve with the schedule of its seed's schedule stream
+    noise_rng, sched_rng = _streams(cfg.rng_seed)
+    pulses = dynamics.make_cancellation_schedule(1.5, 2.0, cfg.dt_ms,
+                                                 sched_rng)
+    assert sorted(pulses) == [3, 10, 34, 38]    # step 10 is also observed
+    evolver, psi = build_evolver(cfg)
+    psi = dynamics.evolve(initial_field(cfg, noise_rng, psi), evolver, 40,
+                          pulses=pulses, observer=lambda n, field: None,
+                          observe_every=5)
+    np.testing.assert_array_equal(result.psi, psi)
+
+    again = run_simulate(replace(cfg, out_dir=str(tmp_path / "again")))
+    assert read_tree(again.run_dir) == read_tree(result.run_dir)
+    unpulsed = run_simulate(replace(cfg, cancel_pulse_rate_khz=0.0,
+                                    out_dir=str(tmp_path / "unpulsed")))
+    assert np.abs(unpulsed.psi - result.psi).max() \
+        > 0.5 * np.abs(result.psi).max()
+
+
 def test_run_directory_does_not_depend_on_its_path(tmp_path):
     short = str(tmp_path / "a")
     long = str(tmp_path / "a much longer" / "path to the same run")
@@ -250,7 +272,9 @@ def test_progress_goes_to_the_spintex_logger(tmp_path, caplog, capsys):
     # line per stored snapshot of pitch_30 (t = 0 and 1 ms)
     assert len(lines) == 2 * (5 + 1) + 2
     assert lines[5].startswith("pitch   60.0 um   kappa 0.1047 rad/um")
-    assert lines[-1].startswith("t =     1.00 ms   long = ")
+    # analyze_run's line for a stored field is the run's own line for it
+    assert lines[-1].startswith("t =     1.00 ms   short/total = ")
+    assert lines[-2:] == [lines[6], lines[10]]
 
 
 def test_rerun_clears_stale_done_marker(tmp_path):
@@ -360,6 +384,9 @@ def test_invalid_sweep_leaves_no_directory(tmp_path):
     out = str(tmp_path / "sweep")
     with pytest.raises(InvalidParameter, match="nx must be a power of two"):
         run_sweep_kappa(RunConfig(out_dir=out, nx=12), [60, 30])
+    assert not os.path.exists(out)
+    with pytest.raises(InvalidParameter, match="helix_pitch_um = 1.0 must"):
+        run_sweep_kappa(RunConfig(out_dir=out), [60, 1.0])
     assert not os.path.exists(out)
 
 

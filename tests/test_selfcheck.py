@@ -3,6 +3,7 @@
 import logging
 import time
 
+from spintex import constants as cn
 from spintex.selfcheck import ALL_CHECKS, check_sign_audit, run_selfcheck
 
 
@@ -19,7 +20,8 @@ def test_selfcheck_passes_and_is_quick(caplog):
     assert lines[-1] == "all checks passed"
 
 
-def test_sign_audit_control():
+def test_sign_audit_control(monkeypatch):
     # flipping the interaction sign must trip the audit
     assert check_sign_audit().passed
-    assert not check_sign_audit(flip_sign=True).passed
+    monkeypatch.setattr(cn, "CDD_HHZ_UM3", -cn.CDD_HHZ_UM3)
+    assert not check_sign_audit().passed
