@@ -6,11 +6,13 @@ inputs.  A spin density is the array s[3, nx, nz] of field.spin_density.
 A power spectrum is a plain array on the fft2 mode layout; the
 functions that read it take the grid for its |k| mesh.  The spectral
 regions are three wavevectors, k_cut, k_lo and k_hi (rad/um), held by
-RunConfig; check_regions is their one rule.
+RunConfig; check_regions is their one rule.  order_parameters removes
+a noise floor only when asked to.  A vortex needs |M_perp| above a fixed
+fraction of its peak, and equal-charge neighbours join by a union-find.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +20,10 @@ from .errors import GridMismatch, InvalidParameter
 from .grid import Grid2D
 
 TWO_PI = 2.0 * math.pi
+# the fewest observations a growth rate is fitted to
+MIN_FIT_SAMPLES = 4
+# a vortex core's four corners exceed this fraction of the peak |M_perp|
+_VORTEX_THRESHOLD_FRAC = 0.15
 
 
 # ---------------------------------------------------------------------------
@@ -48,34 +54,26 @@ def power_spectrum(s: np.ndarray) -> np.ndarray:
 
 
 def order_parameters(p: np.ndarray, grid: Grid2D, k_cut: float,
-                     k_lo: float, k_hi: float, background=0.0) -> tuple:
-    """(long, short, total) spectral powers after background removal.
+                     k_lo: float, k_hi: float, floor: bool = False) -> tuple:
+    """(long, short, total) spectral powers of the power spectrum p.
 
     long sums the central disc |k| <= k_cut, short the annulus
     k_lo <= |k| <= k_hi, total everything; the regions must pass
-    check_regions.  `background` is a constant spectral floor subtracted
-    from every mode (clipped at zero), or "auto" to estimate it as the
-    mean power at |k| > 2 k_hi.
+    check_regions.  With floor, the mean power at |k| > 2 k_hi (a flat
+    noise floor) is first subtracted from every mode, clipped at zero;
+    without it p is summed as it is.
     """
     check_regions(grid, k_cut, k_lo, k_hi)
     kmag = grid.kmag
-    if isinstance(background, str):
-        if background != "auto":
-            raise InvalidParameter(
-                f"background must be a number or 'auto', got {background!r}")
+    if floor:
         far = kmag > 2.0 * k_hi
         if not far.any():
             raise InvalidParameter(
-                "no modes beyond 2 k_hi to estimate the background from")
-        floor = float(p[far].mean())
-    else:
-        floor = float(background)
-        if floor < 0:
-            raise InvalidParameter(f"background must be >= 0, got {floor!r}")
-    q = np.clip(p - floor, 0.0, None)
-    long_p = float(q[kmag <= k_cut].sum())
-    short_p = float(q[(kmag >= k_lo) & (kmag <= k_hi)].sum())
-    return long_p, short_p, float(q.sum())
+                "no modes beyond 2 k_hi to estimate the noise floor from")
+        p = np.clip(p - float(p[far].mean()), 0.0, None)
+    long_p = float(p[kmag <= k_cut].sum())
+    short_p = float(p[(kmag >= k_lo) & (kmag <= k_hi)].sum())
+    return long_p, short_p, float(p.sum())
 
 
 def dominant_wavevector(p: np.ndarray, grid: Grid2D, k_min: float) -> float:
@@ -99,7 +97,7 @@ SERIES_COLUMNS = ("t_ms", "long_order", "short_order", "total_power",
 class OrderParamSeries:
     """Per-snapshot order parameters and energy terms, column arrays."""
 
-    columns: dict = field(default_factory=dict)
+    columns: dict
 
     def __post_init__(self):
         missing = [c for c in SERIES_COLUMNS if c not in self.columns]
@@ -130,8 +128,9 @@ def growth_rate(series: OrderParamSeries, window: tuple = None) -> float:
     is too fast to resolve.
     """
     t = series.t_ms
-    if len(t) < 4:
-        raise InvalidParameter("need at least 4 samples to fit a growth rate")
+    if len(t) < MIN_FIT_SAMPLES:
+        raise InvalidParameter(
+            f"need at least {MIN_FIT_SAMPLES} samples to fit a growth rate")
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(series.total_power > 0,
                          series.short_order / series.total_power, 0.0)
@@ -139,12 +138,13 @@ def growth_rate(series: OrderParamSeries, window: tuple = None) -> float:
         final = series.short_order[-1]
         above = np.nonzero(series.short_order > 0.5 * final)[0]
         hi = t[above[0]] if len(above) else t[-1]
-        window = (t[0], max(hi, t[3]))
+        window = (t[0], max(hi, t[MIN_FIT_SAMPLES - 1]))
     lo, hi = window
     sel = (t >= lo) & (t <= hi)
-    if sel.sum() < 4:
+    if sel.sum() < MIN_FIT_SAMPLES:
         raise InvalidParameter(
-            f"window {window!r} holds {int(sel.sum())} samples, need >= 4")
+            f"window {window!r} holds {int(sel.sum())} samples, "
+            f"need >= {MIN_FIT_SAMPLES}")
     if np.ptp(t[sel]) == 0.0:
         raise InvalidParameter("degenerate window: all sample times equal")
     slope_per_ms = np.polyfit(t[sel], ratio[sel], 1)[0]
@@ -174,39 +174,26 @@ def _periodic_clusters(mask: np.ndarray) -> list:
     sites in raster order.
     """
     nx, nz = mask.shape
-    sites = np.flatnonzero(mask)
-    if sites.size == 0:
-        return []
-    i, j = np.divmod(sites, nz)
-    # edges (a, b) between positions in `sites` of masked neighbours,
-    # one step along each axis with wraparound
-    a, b = [], []
-    for nbr in (((i + 1) % nx) * nz + j, i * nz + (j + 1) % nz):
-        pos = np.searchsorted(sites, nbr) % sites.size
-        hit = sites[pos] == nbr
-        a.append(np.flatnonzero(hit))
-        b.append(pos[hit])
-    a = np.concatenate(a)
-    b = np.concatenate(b)
-    # union by hooking onto the smaller label, then pointer jumping:
-    # label[p] <= p throughout, so each root is its cluster's first site
-    label = np.arange(sites.size)
-    while True:
-        la, lb = label[a], label[b]
-        if np.array_equal(la, lb):
-            break
-        low = np.minimum(la, lb)
-        np.minimum.at(label, la, low)
-        np.minimum.at(label, lb, low)
-        while True:
-            up = label[label]
-            if np.array_equal(up, label):
-                break
-            label = up
-    order = np.argsort(label, kind="stable")
-    starts = np.flatnonzero(np.diff(label[order])) + 1
-    return [np.divmod(group, nz)
-            for group in np.split(sites[order], starts)]
+    sites = np.flatnonzero(mask).tolist()
+    parent = dict(zip(sites, sites))
+
+    def root(p):
+        while parent[p] != p:
+            parent[p] = p = parent[parent[p]]     # path halving
+        return p
+
+    for p in sites:
+        i, j = divmod(p, nz)
+        for q in (((i + 1) % nx) * nz + j, i * nz + (j + 1) % nz):
+            if q in parent:
+                a, b = root(p), root(q)
+                # the larger root hooks under the smaller, so that a
+                # root is its cluster's first site
+                parent[max(a, b)] = min(a, b)
+    clusters = {}
+    for p in sites:
+        clusters.setdefault(root(p), []).append(p)
+    return [np.divmod(np.array(group), nz) for group in clusters.values()]
 
 
 def _circular_mean(coords: np.ndarray, period: float) -> float:
@@ -215,20 +202,16 @@ def _circular_mean(coords: np.ndarray, period: float) -> float:
     return (mean % TWO_PI) * period / TWO_PI
 
 
-def detect_vortices(s: np.ndarray, grid: Grid2D,
-                    threshold_frac: float = 0.15) -> tuple:
+def detect_vortices(s: np.ndarray, grid: Grid2D) -> tuple:
     """Vortices of the transverse part of s[3, nx, nz], sorted by (z, x).
 
     The transverse phase theta = arg(M_x + i M_y) is summed with
     wraparound differences around every elementary plaquette; a
     plaquette carrying winding +-2 pi whose four corners all exceed
-    threshold_frac of the peak |M_perp| is a vortex candidate.
+    _VORTEX_THRESHOLD_FRAC of the peak |M_perp| is a vortex candidate.
     Adjacent candidates of equal charge (periodic connectivity) merge
     into one vortex at their circular-mean center.
     """
-    if not (0.0 < threshold_frac < 1.0):
-        raise InvalidParameter(
-            f"threshold_frac must be in (0, 1), got {threshold_frac!r}")
     if s.shape != (3,) + grid.shape:
         raise GridMismatch(f"spin density shape {s.shape} does not match "
                            f"grid {grid.shape}")
@@ -245,8 +228,7 @@ def detect_vortices(s: np.ndarray, grid: Grid2D,
                - d_up)
     charge = np.rint(winding / TWO_PI).astype(int)
 
-    floor = threshold_frac * amp.max()
-    strong = amp > floor
+    strong = amp > _VORTEX_THRESHOLD_FRAC * amp.max()
     corners_ok = (strong
                   & np.roll(strong, -1, axis=0)
                   & np.roll(strong, -1, axis=1)

@@ -419,12 +419,10 @@ def write_snapshot(path: str, psi: np.ndarray, grid: Grid2D,
 def read_snapshot(path: str) -> tuple:
     """Return (psi, grid, header dict) from a snapshot file."""
     header = {}
-    n_header = 0
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             if not line.startswith("#"):
                 break
-            n_header += 1
             body = line[1:].strip()
             if "=" in body:
                 key, val = (part.strip() for part in body.split("=", 1))
@@ -436,7 +434,7 @@ def read_snapshot(path: str) -> tuple:
         grid = Grid2D(nx=int(header["nx"]), nz=int(header["nz"]),
                       lx=float(header["lx_um"]), lz=float(header["lz_um"]))
         header["time_ms"] = float(header["time_ms"])
-        table = np.loadtxt(path, skiprows=n_header)
+        table = np.loadtxt(path)      # skips the '#' header lines
     except ValueError as exc:
         raise InvalidParameter(f"snapshot {path}: {exc}") from None
     if not math.isfinite(header["time_ms"]):

@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import (OrderParamSeries, detect_vortices, growth_rate,
-                       order_parameters, power_spectrum)
+from .analysis import (MIN_FIT_SAMPLES, OrderParamSeries, detect_vortices,
+                       growth_rate, order_parameters, power_spectrum)
 from .dynamics import Evolver, evolve, make_cancellation_schedule
 from .errors import InvalidParameter
 from .field import (add_noise, imprint_helix, prepare_initial, rotate_spinor,
@@ -76,19 +76,16 @@ def initial_field(cfg: RunConfig, noise_rng: np.random.Generator,
     if cfg.helix_pitch_um > 0:
         psi = imprint_helix(psi, cfg.grid(),
                             2.0 * math.pi / cfg.helix_pitch_um)
-    if cfg.noise_amplitude > 0:
-        psi = add_noise(psi, cfg.noise_amplitude, noise_rng)
-    return psi
+    return add_noise(psi, cfg.noise_amplitude, noise_rng)
 
 
 def _measure_row(t_ms: float, psi: np.ndarray, evolver: Evolver,
                  cfg: RunConfig) -> dict:
     s = spin_density(psi)
     # seed noise leaves a flat spectral floor; a noiseless run has none
-    background = "auto" if cfg.noise_amplitude > 0 else 0.0
     long_p, short_p, total_p = order_parameters(
         power_spectrum(s), evolver.grid, cfg.k_cut_rad_um, cfg.k_lo_rad_um,
-        cfg.k_hi_rad_um, background)
+        cfg.k_hi_rad_um, floor=cfg.noise_amplitude > 0)
     row = {"t_ms": t_ms, "long_order": long_p, "short_order": short_p,
            "total_power": total_p,
            "n_vortices": float(len(detect_vortices(s, evolver.grid)))}
@@ -256,6 +253,15 @@ def run_sweep_kappa(cfg: RunConfig, pitches) -> list:
     subs = [replace(cfg, helix_pitch_um=float(pitch),
                     out_dir=os.path.join(base, name)).validate()
             for pitch, name in zip(pitches, names)]
+    # evolve observes at step 0, every observe_every steps and the last
+    n_steps = subs[0].steps(subs[0].t_final_ms)
+    every = subs[0].steps(subs[0].snapshot_every_ms)
+    n_obs = 1 if n_steps == 0 else 2 + ((n_steps - 1) // every if every else 0)
+    if n_obs < MIN_FIT_SAMPLES:
+        raise InvalidParameter(
+            f"t_final_ms = {subs[0].t_final_ms!r} and snapshot_every_ms = "
+            f"{subs[0].snapshot_every_ms!r} give {n_obs} observations per "
+            f"pitch; a growth rate needs at least {MIN_FIT_SAMPLES}")
     os.makedirs(base, exist_ok=True)
     # an earlier sweep's gamma.csv would outlive a failure of this one
     path = os.path.join(base, "gamma.csv")

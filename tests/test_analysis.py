@@ -117,21 +117,14 @@ def test_order_parameters_helix_placement():
     assert abs(tot - total) < 1e-9 * total
 
 
-def test_order_parameters_background_subtraction():
+def test_order_parameters_without_floor_sum_the_spectrum():
     g = Grid2D(nx=64, nz=64, lx=32.0, lz=32.0)
-    m = spin_density(helix_field(g, 2.0, pitch=8.0))
-    p = power_spectrum(m)
-    ref = order_parameters(p, g, *REGIONS)
-
-    floor = 0.37
-    got = order_parameters(p + floor, g, *REGIONS, background=floor)
-    for a, b in zip(got, ref):
-        assert abs(a - b) < 1e-9 * max(1.0, abs(b))
-
-    with pytest.raises(InvalidParameter):
-        order_parameters(p, g, *REGIONS, background=-0.1)
-    with pytest.raises(InvalidParameter):
-        order_parameters(p, g, *REGIONS, background="median")
+    p = power_spectrum(spin_density(helix_field(g, 2.0, pitch=8.0))) + 0.37
+    k_cut, k_lo, k_hi = REGIONS
+    masks = (g.kmag <= k_cut, (g.kmag >= k_lo) & (g.kmag <= k_hi),
+             np.ones(g.shape, bool))
+    got = order_parameters(p, g, *REGIONS)
+    assert got == tuple(float(p[mask].sum()) for mask in masks)
 
 
 def test_order_parameters_auto_background():
@@ -140,7 +133,7 @@ def test_order_parameters_auto_background():
     p = np.full(g.shape, floor)
     kz_spike = int(round(g.lz / 8.0))     # |k| inside the annulus
     p[0, kz_spike] += 123.0
-    lo, sh, tot = order_parameters(p, g, *REGIONS, background="auto")
+    lo, sh, tot = order_parameters(p, g, *REGIONS, floor=True)
     assert abs(lo) < 1e-9
     assert abs(sh - 123.0) < 1e-9
     assert abs(tot - 123.0) < 1e-9
@@ -150,8 +143,7 @@ def test_auto_background_needs_far_modes():
     # every mode of this coarse grid sits within 2 k_hi of the origin
     g = Grid2D(nx=8, nz=8, lx=8.0, lz=8.0)
     with pytest.raises(InvalidParameter, match="beyond 2 k_hi"):
-        order_parameters(np.ones(g.shape), g, 0.3, 0.5, 2.3,
-                         background="auto")
+        order_parameters(np.ones(g.shape), g, 0.3, 0.5, 2.3, floor=True)
 
 
 def test_dominant_wavevector_ignores_central_disc():
@@ -259,15 +251,14 @@ def test_vortex_pair_recovered_exactly():
     plus = (g.x[8] + 0.25, g.z[10] + 0.25)
     minus = (g.x[22] + 0.25, g.z[20] + 0.25)
     f = winding_field(g, [plus + (+1,), minus + (-1,)])
-    for thr in (0.05, 0.15, 0.3, 0.5):
-        vs = detect_vortices(f, g, threshold_frac=thr)
-        assert len(vs) == 2
-        assert sum(v.charge for v in vs) == 0
-        by_charge = {v.charge: v for v in vs}
-        assert abs(by_charge[+1].x_um - plus[0]) < 1e-9
-        assert abs(by_charge[+1].z_um - plus[1]) < 1e-9
-        assert abs(by_charge[-1].x_um - minus[0]) < 1e-9
-        assert abs(by_charge[-1].z_um - minus[1]) < 1e-9
+    vs = detect_vortices(f, g)
+    assert len(vs) == 2
+    assert sum(v.charge for v in vs) == 0
+    by_charge = {v.charge: v for v in vs}
+    assert abs(by_charge[+1].x_um - plus[0]) < 1e-9
+    assert abs(by_charge[+1].z_um - plus[1]) < 1e-9
+    assert abs(by_charge[-1].x_um - minus[0]) < 1e-9
+    assert abs(by_charge[-1].z_um - minus[1]) < 1e-9
 
 
 def test_helix_carries_no_vortices():
@@ -322,12 +313,9 @@ def test_vortex_threshold_masks_weak_regions():
     amp = np.ones(g.shape)
     amp[7:11, 9:13] = 0.01
     f = winding_field(g, [plus + (+1,), minus + (-1,)], amp=amp)
-    vs = detect_vortices(f, g, threshold_frac=0.15)
+    vs = detect_vortices(f, g)
     assert len(vs) == 1
     assert vs[0].charge == -1
-    vs = detect_vortices(f, g, threshold_frac=0.005)
-    assert len(vs) == 2
-    assert sum(v.charge for v in vs) == 0
 
 
 def test_vortices_covariant_under_spin_rotation():
@@ -343,14 +331,6 @@ def test_vortices_covariant_under_spin_rotation():
         assert va.charge == vb.charge
         assert abs(va.x_um - vb.x_um) < 1e-9
         assert abs(va.z_um - vb.z_um) < 1e-9
-
-
-def test_vortex_threshold_validation():
-    g = Grid2D(nx=8, nz=8, lx=8.0, lz=8.0)
-    f = np.ones((3,) + g.shape)
-    for bad in (0.0, 1.0, -0.1):
-        with pytest.raises(InvalidParameter):
-            detect_vortices(f, g, threshold_frac=bad)
 
 
 def test_vortices_need_a_spin_density_on_the_grid():

@@ -388,6 +388,16 @@ def test_invalid_sweep_leaves_no_directory(tmp_path):
     with pytest.raises(InvalidParameter, match="helix_pitch_um = 1.0 must"):
         run_sweep_kappa(RunConfig(out_dir=out), [60, 1.0])
     assert not os.path.exists(out)
+    # too few observations per pitch to fit a growth rate
+    for t_final, every, n_obs in ((0.2, 0.1, 3), (1.0, 0.0, 2), (0.0, 0.1, 1)):
+        cfg = small_cfg(tmp_path, out_dir=out, t_final_ms=t_final,
+                        snapshot_every_ms=every)
+        with pytest.raises(InvalidParameter,
+                           match=rf"t_final_ms = {t_final} and "
+                                 rf"snapshot_every_ms = {every} give {n_obs} "
+                                 rf"observations"):
+            run_sweep_kappa(cfg, [60, 40, 30])
+        assert not os.path.exists(out)
 
 
 class Lines(logging.Handler):
