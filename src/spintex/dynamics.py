@@ -19,11 +19,14 @@ step merges with the next step's opening one, so a run of steps costs
 one FFT pair per step.
 
 Everything but the FFTs is site-local, so Evolver.step runs it in
-three loops over blocks of whole grid rows (about _BLOCK_SITES sites),
-small enough that a block's temporaries stay in cache.  Each block
-sees the inputs one pass over the grid would, so the result does not
-depend on the block size, bit for bit.  The kinetic FFTs run one spin
-component at a time.
+three loops over blocks of whole grid rows (about _BLOCK_SITES sites).
+A block bounds one fixed scratch set, made once per step: the local
+step and its coefficients write into it, and the densities and the
+local step's result into the step's own arrays, through ufunc out=
+arguments.  Each block sees the inputs one pass over the grid would,
+so the result does not depend on the block size, bit for bit.  The
+kinetic FFTs run one spin component at a time, through one held
+transform buffer.
 
 Evolver(grid, dt_ms, *, q_hz, c0_2d, c2_2d, sigma_y_um, c_dd,
 kernel_mode, potential=None) takes its coefficients by keyword: c0_2d
@@ -41,12 +44,12 @@ import numpy as np
 from . import constants as cn
 from .dipole import DipolarCoupling, interaction_kernel
 from .errors import InvalidParameter, NumericalFailure
-from .field import (number_density, rotate_spinor, spin_density,
-                    zeeman_like_apply)
+from .field import (local_scratch, number_density, rotate_spinor,
+                    spin_density, zeeman_like_apply)
 from .grid import Grid2D
 
-# sites per block of rows in Evolver.step: one block's complex temporaries
-# (64 KB each) stay in a core's L2 cache
+# sites per block of rows in Evolver.step: the block's scratch set
+# (field.local_scratch, 64 KB per complex array) stays in a core's L2 cache
 _BLOCK_SITES = 4096
 
 
@@ -79,9 +82,11 @@ class Evolver:
         # one spin component at a time: a 2D transform's working set is a
         # third of the batched one's, and its result is the same
         out = np.empty_like(psi)
+        pk = np.empty(psi.shape[1:], complex)
         for c in range(3):
-            pk = np.fft.fft2(psi[c])
+            np.fft.fft2(psi[c], out=pk)
             pk *= multiplier
+            # not ifft2(out=): numpy 2.4 returns a new array, out unwritten
             out[c] = np.fft.ifft2(pk)
         return out
 
@@ -109,32 +114,45 @@ class Evolver:
         """
         theta = self.dt_ms * cn.RADPMS_PER_HHZ
         nx, nz = self.grid.shape
-        rows = max(1, _BLOCK_SITES // nz)
-        blocks = [slice(i, i + rows) for i in range(0, nx, rows)]
+        rows = min(nx, max(1, _BLOCK_SITES // nz))
+        blocks = [slice(i, min(i + rows, nx)) for i in range(0, nx, rows)]
         s = np.empty((3, nx, nz))
         n = np.empty((nx, nz))
+        # one block's buffers: the local step's scratch, its coefficients
+        # (u, vx, vy, vz) and loop B's predicted field
+        work = local_scratch((rows, nz))
+        coef = np.empty((4, rows, nz))
+        pred = np.empty((3, rows, nz), dtype=complex)
 
         c2 = self.c2_2d
 
-        def local(r, b, th):
-            # local step of psi's rows r with the coefficients of (s, n, b)
-            u = self.potential[r] + self.c0_2d * n[r]
-            return zeeman_like_apply(psi[:, r], th, u, self.q_hz,
-                                     c2 * s[0, r] - b[0, r],
-                                     c2 * s[1, r] - b[1, r],
-                                     c2 * s[2, r] - b[2, r])
+        def local(r, b, th, out):
+            # local step of psi's rows r with the coefficients of (s, n, b),
+            # into out; a short last block takes the buffers' leading rows
+            m = r.stop - r.start
+            u, vx, vy, vz = coef[:, :m]
+            np.multiply(self.c0_2d, n[r], out=u)
+            np.add(self.potential[r], u, out=u)
+            for i, v in enumerate((vx, vy, vz)):
+                np.multiply(c2, s[i, r], out=v)
+                v -= b[i, r]
+            zeeman_like_apply(psi[:, r], th, u, self.q_hz, vx, vy, vz,
+                              out=out,
+                              work=work if m == rows else [a[:m] for a in work])
+            return out
 
         for r in blocks:
-            s[:, r] = spin_density(psi[:, r])
-            n[r] = number_density(psi[:, r])
+            spin_density(psi[:, r], out=s[:, r])
+            number_density(psi[:, r], out=n[r])
         if b is None:
             b = self.coupling.field_of(s)
         for r in blocks:
-            s[:, r] = spin_density(local(r, b, 0.5 * theta))
+            spin_density(local(r, b, 0.5 * theta, pred[:, :r.stop - r.start]),
+                         out=s[:, r])
         b_mid = self.coupling.field_of(s)
         out = np.empty_like(psi)
         for r in blocks:
-            out[:, r] = local(r, b_mid, theta)
+            local(r, b_mid, theta, out[:, r])
         # checked before the FFT spreads a non-finite site over the grid
         if not np.all(np.isfinite(out.view(float))):
             _, ix, iz = np.argwhere(~np.isfinite(out))[0]

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from spintex import constants as cn
-from spintex import dynamics, oracles
+from spintex import dynamics, field, oracles
 from spintex.dipole import DipolarCoupling
 from spintex.dynamics import Evolver, evolve, make_cancellation_schedule
 from spintex.errors import InvalidParameter, NumericalFailure
@@ -328,9 +328,30 @@ def test_blocks_of_rows_do_not_change_the_step(monkeypatch):
     assert np.array_equal(results[0], results[1])
 
 
+def test_kinetic_step_matches_its_per_component_transform():
+    # a transform written into a held buffer must give the fresh one's
+    # bits (numpy's ifft2 returns a new array and leaves out= unwritten)
+    g = Grid2D(nx=8, nz=16, lx=4.0, lz=8.0)
+    ev = make_evolver(g)
+    psi = add_noise(imprint_helix(uniform_transverse(g), g, 2 * math.pi / 8.0),
+                    1e-2, np.random.default_rng(8))
+    before = psi.copy()
+    for mult in (ev._kin_half, ev._kin_full):
+        got = ev._kinetic(psi, mult)
+        for c in range(3):
+            assert np.array_equal(got[c],
+                                  np.fft.ifft2(np.fft.fft2(psi[c]) * mult))
+    assert np.array_equal(psi, before)
+
+
 def test_each_step_is_one_call_with_two_local_steps(monkeypatch):
-    calls = {"step": 0, "local": 0, "field": 0}
+    # the step reaches the local step and the spin density through the
+    # dynamics module's globals, which the benchmark's tracer patches
+    assert dynamics.zeeman_like_apply is field.zeeman_like_apply
+    assert dynamics.spin_density is field.spin_density
+    calls = {"step": 0, "local": 0, "density": 0, "field": 0}
     step, local = dynamics.Evolver.step, dynamics.zeeman_like_apply
+    density = dynamics.spin_density
     field_of = DipolarCoupling.field_of
 
     def counted_step(*args, **kwargs):
@@ -341,12 +362,17 @@ def test_each_step_is_one_call_with_two_local_steps(monkeypatch):
         calls["local"] += 1
         return local(*args, **kwargs)
 
+    def counted_density(*args, **kwargs):
+        calls["density"] += 1
+        return density(*args, **kwargs)
+
     def counted_field(*args, **kwargs):
         calls["field"] += 1
         return field_of(*args, **kwargs)
 
     monkeypatch.setattr(dynamics.Evolver, "step", counted_step)
     monkeypatch.setattr(dynamics, "zeeman_like_apply", counted_local)
+    monkeypatch.setattr(dynamics, "spin_density", counted_density)
     monkeypatch.setattr(DipolarCoupling, "field_of", counted_field)
     g = Grid2D(nx=8, nz=8, lx=4.0, lz=4.0)
     ev = make_evolver(g)
@@ -355,15 +381,17 @@ def test_each_step_is_one_call_with_two_local_steps(monkeypatch):
     # own dipolar convolution, then one per step
     evolve(uniform_transverse(g), ev, 7, pulses=pulses,
            observer=lambda n, p: None, observe_every=3)
-    assert calls == {"step": 7, "local": 14, "field": 7 + 3}
-    # on several blocks: two local steps per block and step, so 2 x 3
-    # blocks (3 + 3 + 2 rows of 8 sites) x 7 steps; the convolutions
-    # are over the whole grid
+    # spin densities: loop A's of psi and loop B's of the predicted field
+    assert calls == {"step": 7, "local": 14, "density": 14, "field": 7 + 3}
+    # on several blocks: two local steps and two spin densities per block
+    # and step, so 2 x 3 blocks (3 + 3 + 2 rows of 8 sites) x 7 steps; the
+    # convolutions are over the whole grid
     monkeypatch.setattr(dynamics, "_BLOCK_SITES", 24)
-    calls.update(step=0, local=0, field=0)
+    calls.update(step=0, local=0, density=0, field=0)
     evolve(uniform_transverse(g), ev, 7, pulses=pulses,
            observer=lambda n, p: None, observe_every=3)
-    assert calls == {"step": 7, "local": 2 * 3 * 7, "field": 7 + 3}
+    assert calls == {"step": 7, "local": 2 * 3 * 7, "density": 2 * 3 * 7,
+                     "field": 7 + 3}
 
 
 def test_pulses_land_on_the_first_boundary_at_or_after_them():

@@ -5,9 +5,9 @@ import pytest
 from scipy import linalg
 
 from spintex.errors import GridMismatch, InvalidParameter
-from spintex.field import (add_noise, imprint_helix, number_density,
-                           prepare_initial, rotate_spinor, spin_density,
-                           spin_matrices, thomas_fermi_density,
+from spintex.field import (add_noise, imprint_helix, local_scratch,
+                           number_density, prepare_initial, rotate_spinor,
+                           spin_density, spin_matrices, thomas_fermi_density,
                            transverse_state, zeeman_like_apply)
 from spintex.grid import Grid2D
 
@@ -33,11 +33,27 @@ def test_spin_density_cardinal_states():
 
 def test_spin_density_matches_matrix_element():
     rng = np.random.default_rng(3)
-    psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     fx, fy, fz = spin_matrices()
-    s = spin_density(psi)
-    for comp, f in zip(s, (fx, fy, fz)):
-        assert comp == pytest.approx((psi.conj() @ f @ psi).real, abs=1e-13)
+    site = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    field = rng.standard_normal((3, 6, 5)) + 1j * rng.standard_normal((3, 6, 5))
+    # a single site, whose components are 0-d, and a block of rows written
+    # into a block of a larger array
+    held_s, held_n = np.zeros((3, 10, 5)), np.zeros((10, 5))
+    for psi, out_s, out_n in ((site, np.empty(3), np.empty(())),
+                              (field[:, 2:5], held_s[:, 4:7], held_n[4:7])):
+        expected = [np.einsum("a...,ab,b...->...", psi.conj(), f, psi).real
+                    for f in (fx, fy, fz)]
+        s = spin_density(psi)
+        for comp, ref in zip(s, expected):
+            assert np.allclose(comp, ref, rtol=0.0, atol=1e-13)
+        assert spin_density(psi, out=out_s) is out_s
+        assert np.array_equal(out_s, s)
+        n = number_density(psi)
+        assert np.allclose(n, (np.abs(psi)**2).sum(axis=0), rtol=1e-15)
+        assert number_density(psi, out=out_n) is out_n
+        assert np.array_equal(out_n, n)
+    assert not held_s[:, :4].any() and not held_s[:, 7:].any()
+    assert not held_n[:4].any() and not held_n[7:].any()
 
 
 def test_rotate_spinor_tips_pole_to_equator():
@@ -163,6 +179,83 @@ def test_zeeman_like_apply_unitary_on_fields():
     v[:, 0, 0] = 0.0
     out = zeeman_like_apply(psi, 0.3, u, 0.7, v[0], v[1], v[2])
     assert np.allclose(number_density(out), number_density(psi), atol=1e-12)
+
+
+def _allocating_spin_rotation(psi, theta, vx, vy, vz):
+    # the closed form as it was before it wrote through out=, frozen as the
+    # bit-for-bit reference of the in-place one
+    v2 = vx * vx + vy * vy + vz * vz
+    zero = v2 == 0
+    vabs = np.sqrt(np.where(zero, 1.0, v2))
+    half = 0.5 * theta * vabs
+    sin_h = np.sin(half)
+    cos_h = np.cos(half)
+    c1 = np.where(zero, theta, 2.0 * sin_h * cos_h / vabs).astype(complex)
+    c2 = np.where(zero, -0.5 * theta * theta,
+                  -2.0 * sin_h * sin_h / (vabs * vabs)).astype(complex)
+    vz = np.asarray(vz, dtype=complex)
+    vm = (vx - 1j * vy) / math.sqrt(2.0)
+    vp = np.conj(vm)
+
+    def vdotf(a, b, c):
+        return vz * a + vm * b, vp * a + vm * c, vp * b - vz * c
+
+    a, b, c = psi
+    wa, wb, wc = vdotf(a, b, c)
+    ya, yb, yc = vdotf(c2 * wa - 1j * (c1 * a), c2 * wb - 1j * (c1 * b),
+                       c2 * wc - 1j * (c1 * c))
+    return a + ya, b + yb, c + yc
+
+
+def _allocating_local_step(psi, dt, u, q, vx, vy, vz):
+    half_q = np.exp(-0.5j * dt * q)
+    a, b, c = _allocating_spin_rotation(
+        (half_q * psi[0], psi[1], half_q * psi[2]), dt, vx, vy, vz)
+    phase = np.exp(-1j * dt * u)
+    phase_q = half_q * phase
+    return np.stack([phase_q * a, phase * b, phase_q * c])
+
+
+def test_local_step_is_the_allocating_closed_form_bit_for_bit():
+    rng = np.random.default_rng(21)
+    psi = rng.standard_normal((3, 12, 7)) + 1j * rng.standard_normal((3, 12, 7))
+    block = psi[:, 3:8]
+    u = rng.standard_normal((5, 7))
+    v = rng.standard_normal((3, 5, 7))
+    v[:, 0, :3] = 0.0                                   # v = 0: the limits
+    v[:, 1, 0] = (1e-9, 0.0, 0.0)                       # |v| = 1e-9
+    v[:, 1, 1] = (0.0, 6e-10, -8e-10)
+    before = psi.copy()
+    held = np.zeros((3, 16, 7), dtype=complex)
+    # as the stepper calls it: out a block of a larger array, and the
+    # leading rows of a larger scratch set
+    work = [a[:5] for a in local_scratch((8, 7))]
+    for dt, q in ((0.41, 1.3), (1e-3, 0.0), (2.9, -0.6)):
+        ref = _allocating_local_step(block, dt, u, q, *v)
+        out = held[:, 6:11]
+        assert zeeman_like_apply(block, dt, u, q, *v, out=out,
+                                 work=work) is out
+        assert np.array_equal(out, ref)
+        assert np.array_equal(zeeman_like_apply(block, dt, u, q, *v), ref)
+    assert np.array_equal(psi, before)
+    assert not held[:, :6].any() and not held[:, 11:].any()
+    # scalar u and v broadcast over the sites, as check_expm calls it: the
+    # sites' arithmetic is that of arrays of the scalars (numpy's scalar
+    # complex product may differ from its array loop in the last bit)
+    basis = np.eye(3, dtype=complex)
+    for u0, q0, v0 in ((0.3, 1.1, rng.standard_normal(3)),
+                       (1.3, 0.0, np.zeros(3)),
+                       (0.7, 1e-9, np.array([1e-9, 0.0, 0.0]))):
+        spread = [np.full(3, x) for x in (u0, *v0)]
+        assert np.array_equal(zeeman_like_apply(basis, 0.37, u0, q0, *v0),
+                              _allocating_local_step(basis, 0.37, spread[0],
+                                                     q0, *spread[1:]))
+    # and the pulse matrix of rotate_spinor
+    axis = np.array([0.3, -0.8, 0.52])
+    rot = np.stack(_allocating_spin_rotation(
+        basis, 1.234, *(axis / np.linalg.norm(axis))))
+    assert np.array_equal(rotate_spinor(block, tuple(axis), 1.234),
+                          np.einsum("ab,b...->a...", rot, block))
 
 
 def test_thomas_fermi_profile():
