@@ -20,13 +20,14 @@ one FFT pair per step.
 
 Everything but the FFTs is site-local, so Evolver.step runs it in
 three loops over blocks of whole grid rows (about _BLOCK_SITES sites).
-A block bounds one fixed scratch set, made once per step: the local
-step and its coefficients write into it, and the densities and the
-local step's result into the step's own arrays, through ufunc out=
-arguments.  Each block sees the inputs one pass over the grid would,
-so the result does not depend on the block size, bit for bit.  The
-kinetic FFTs run one spin component at a time, through one held
-transform buffer.
+The grid's sizes and _BLOCK_SITES are powers of two, so every block has
+the same number of rows, and one fixed scratch set of that block's
+shape, made once per step, serves them all: the local step and its
+coefficients write into it, and the densities and the local step's
+result into the step's own arrays, through ufunc out= arguments.  Each
+block sees the inputs one pass over the grid would, so the result does
+not depend on the block size, bit for bit.  The kinetic FFTs run one
+spin component at a time, through one held transform buffer.
 
 Evolver(grid, dt_ms, *, q_hz, c0_2d, c2_2d, sigma_y_um, c_dd,
 kernel_mode, potential=None) takes its coefficients by keyword: c0_2d
@@ -43,7 +44,7 @@ import numpy as np
 
 from . import constants as cn
 from .dipole import DipolarCoupling, interaction_kernel
-from .errors import InvalidParameter, NumericalFailure
+from .errors import GridMismatch, InvalidParameter, NumericalFailure
 from .field import (local_scratch, number_density, rotate_spinor,
                     spin_density, zeeman_like_apply)
 from .grid import Grid2D
@@ -81,7 +82,7 @@ class Evolver:
     def _kinetic(self, psi: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
         # one spin component at a time: a 2D transform's working set is a
         # third of the batched one's, and its result is the same
-        out = np.empty_like(psi)
+        out = np.empty(psi.shape, complex)
         pk = np.empty(psi.shape[1:], complex)
         for c in range(3):
             np.fft.fft2(psi[c], out=pk)
@@ -114,32 +115,28 @@ class Evolver:
         """
         theta = self.dt_ms * cn.RADPMS_PER_HHZ
         nx, nz = self.grid.shape
+        # nx, nz (Grid2D) and _BLOCK_SITES are powers of two, so rows is
+        # one too, no larger than nx: the blocks divide the grid
         rows = min(nx, max(1, _BLOCK_SITES // nz))
-        blocks = [slice(i, min(i + rows, nx)) for i in range(0, nx, rows)]
+        blocks = [slice(i, i + rows) for i in range(0, nx, rows)]
         s = np.empty((3, nx, nz))
         n = np.empty((nx, nz))
         # one block's buffers: the local step's scratch, its coefficients
-        # (u, vx, vy, vz) and loop B's predicted field
+        # and loop B's predicted field
         work = local_scratch((rows, nz))
-        coef = np.empty((4, rows, nz))
+        u, vx, vy, vz = np.empty((4, rows, nz))
         pred = np.empty((3, rows, nz), dtype=complex)
-
-        c2 = self.c2_2d
 
         def local(r, b, th, out):
             # local step of psi's rows r with the coefficients of (s, n, b),
-            # into out; a short last block takes the buffers' leading rows
-            m = r.stop - r.start
-            u, vx, vy, vz = coef[:, :m]
+            # into out
             np.multiply(self.c0_2d, n[r], out=u)
             np.add(self.potential[r], u, out=u)
             for i, v in enumerate((vx, vy, vz)):
-                np.multiply(c2, s[i, r], out=v)
+                np.multiply(self.c2_2d, s[i, r], out=v)
                 v -= b[i, r]
-            zeeman_like_apply(psi[:, r], th, u, self.q_hz, vx, vy, vz,
-                              out=out,
-                              work=work if m == rows else [a[:m] for a in work])
-            return out
+            return zeeman_like_apply(psi[:, r], th, u, self.q_hz, vx, vy, vz,
+                                     out=out, work=work)
 
         for r in blocks:
             spin_density(psi[:, r], out=s[:, r])
@@ -147,10 +144,9 @@ class Evolver:
         if b is None:
             b = self.coupling.field_of(s)
         for r in blocks:
-            spin_density(local(r, b, 0.5 * theta, pred[:, :r.stop - r.start]),
-                         out=s[:, r])
+            spin_density(local(r, b, 0.5 * theta, pred), out=s[:, r])
         b_mid = self.coupling.field_of(s)
-        out = np.empty_like(psi)
+        out = np.empty(psi.shape, complex)
         for r in blocks:
             local(r, b_mid, theta, out[:, r])
         # checked before the FFT spreads a non-finite site over the grid
@@ -164,9 +160,6 @@ class Evolver:
                 b_mid)
 
     # -- diagnostics ---------------------------------------------------
-
-    def norm(self, psi: np.ndarray) -> float:
-        return float(number_density(psi).sum()) * self.grid.cell_area
 
     def energy_budget(self, psi: np.ndarray, n: np.ndarray = None,
                       s: np.ndarray = None) -> dict:
@@ -260,6 +253,9 @@ def evolve(psi: np.ndarray, evolver: Evolver, n_steps: int,
     run as one segment, with merged kinetic half steps, each step handing
     its midpoint dipolar field to the next.  Returns the final field.
     """
+    if psi.shape != (3,) + evolver.grid.shape:
+        raise GridMismatch(f"field shape {psi.shape} does not match 3 "
+                           f"components on grid {evolver.grid.shape}")
     if n_steps < 0 or observe_every < 0:
         raise InvalidParameter(
             f"step counts must be >= 0, got n_steps = {n_steps!r}, "

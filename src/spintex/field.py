@@ -7,9 +7,9 @@ by site as two tridiagonal products, between a scalar phase and two
 quadratic-Zeeman half phases; ``rotate_spinor`` (rf pulses) builds the
 3x3 matrix of one global rotation from the same closed form.  The
 closed form writes through ufunc ``out=`` arguments: its result goes
-into a given ``out`` and its intermediates into a scratch set
-(``local_scratch``), both allocated when not given, so a caller that
-holds them steps without allocating.  ``spin_density`` and
+into a given ``out`` and its intermediates into a scratch set of the
+sites' shape (``local_scratch``), both allocated when not given, so a
+caller that holds them steps without allocating.  ``spin_density`` and
 ``number_density`` write into a given ``out`` the same way.
 ``prepare_initial`` returns the polarized field and its trap potential;
 RunConfig.validate runs the fit check of ``thomas_fermi_density``.
@@ -74,8 +74,9 @@ def number_density(psi: np.ndarray, out: np.ndarray = None) -> np.ndarray:
 def rotate_spinor(psi: np.ndarray, axis: tuple, angle: float) -> np.ndarray:
     """Apply exp(-i angle n.F) site-wise for a global unit axis n."""
     n = np.asarray(axis, dtype=float)
-    if not np.all(np.isfinite(n)):
-        raise InvalidParameter(f"rotation axis must be finite, got {axis!r}")
+    if n.shape != (3,) or not np.all(np.isfinite(n)):
+        raise InvalidParameter(
+            f"rotation axis must be three finite numbers, got {axis!r}")
     if not math.isfinite(angle):
         raise InvalidParameter(
             f"rotation angle must be finite, got {angle!r}")
@@ -85,7 +86,7 @@ def rotate_spinor(psi: np.ndarray, axis: tuple, angle: float) -> np.ndarray:
     # one axis for all sites: the closed form's 3x3 matrix, then a product
     eye = np.eye(3, dtype=complex)
     u = _spin_rotation(eye, angle, *(n / norm), np.empty_like(eye),
-                       local_scratch((), (3,)))
+                       local_scratch((3,)))
     return np.einsum("ab,b...->a...", u, psi)
 
 
@@ -106,31 +107,22 @@ def imprint_helix(psi: np.ndarray, grid: Grid2D, kappa: float) -> np.ndarray:
     return out
 
 
-def transverse_state() -> np.ndarray:
-    """Single-site spinor fully magnetized along +x."""
-    return np.array([0.5, 1.0 / SQRT2, 0.5], dtype=complex)
-
-
 # ---------------------------------------------------------------------------
 # Per-site local step in closed form
 # ---------------------------------------------------------------------------
 
-def local_scratch(coef_shape: tuple, site_shape: tuple = None) -> list:
-    """Scratch set of one local step, in the order the closed form unpacks
-    it: 7 complex arrays (c1, c2, vz, v-, v+ and the two phases), 4 real
-    ones and a mask of the coefficients' shape, then 6 complex arrays of
-    the sites' shape (the same shape if not given).  The leading rows of
-    every array make the set of a shorter block of rows."""
-    if site_shape is None:
-        site_shape = coef_shape
+def local_scratch(shape: tuple) -> list:
+    """Scratch set of one local step on sites of the given shape, in the
+    order the closed form unpacks it: 7 complex arrays (c1, c2, vz, v-,
+    v+ and the two phases), 4 real ones, a mask, then 6 complex ones."""
     # views of three arrays: eighteen separate ones a step raised the
     # peak RSS of three pulsed-suppression rounds by 2 MB
-    coef = np.empty((7,) + coef_shape, complex)
-    real = np.empty((4,) + coef_shape)
-    site = np.empty((6,) + site_shape, complex)
+    coef = np.empty((7,) + shape, complex)
+    real = np.empty((4,) + shape)
+    site = np.empty((6,) + shape, complex)
     return ([coef[i, ...] for i in range(7)]
             + [real[i, ...] for i in range(4)]
-            + [np.empty(coef_shape, bool)]
+            + [np.empty(shape, bool)]
             + [site[i, ...] for i in range(6)])
 
 
@@ -209,14 +201,13 @@ def zeeman_like_apply(psi, dt, u, q, vx, vy, vz, out=None, work=None):
     multiplies Fz^2, and v couples to the spin like a magnetic field;
     u and v broadcast over the site axes.  The result is written into
     out[3, ...], which must not overlap psi, and the intermediates into
-    work, a local_scratch set of the coefficients' and psi's site
-    shapes; either is allocated when not given.  Returns out.
+    work, a local_scratch set of psi's site shape; either is allocated
+    when not given.  Returns out.
     """
     if out is None:
         out = np.empty(psi.shape, complex)
     if work is None:
-        coef_shape = np.broadcast_shapes(*map(np.shape, (u, vx, vy, vz)))
-        work = local_scratch(coef_shape, psi.shape[1:])
+        work = local_scratch(psi.shape[1:])
     phase, phase_q, a, c = work[5], work[6], work[12], work[13]
     half_q = np.exp(-0.5j * dt * q)
     np.multiply(half_q, psi[0, ...], out=a)

@@ -396,9 +396,7 @@ def write_snapshot(path: str, psi: np.ndarray, grid: Grid2D,
                                f"got {time_ms!r}")
     n = number_density(psi)
     m = spin_density(psi)
-    x = np.broadcast_to(grid.x[:, None], grid.shape)
-    z = np.broadcast_to(grid.z[None, :], grid.shape)
-    cols = [x, z, n, m[0], m[1], m[2],
+    cols = [grid.xmesh, grid.zmesh, n, m[0], m[1], m[2],
             psi[0].real, psi[0].imag, psi[1].real, psi[1].imag,
             psi[2].real, psi[2].imag]
     table = np.stack([c.reshape(-1) for c in cols], axis=1)
@@ -471,28 +469,6 @@ def write_timeseries(path: str, series: OrderParamSeries,
             fh.write(",".join(row) + "\n")
 
 
-def read_timeseries(path: str) -> OrderParamSeries:
-    with open(path, encoding="utf-8") as fh:
-        lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1)
-                 if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0][1].split(",") != list(SERIES_COLUMNS):
-        raise InvalidParameter(f"{path}: unexpected time series columns")
-    rows = []
-    for n, ln in lines[1:]:
-        fields = ln.split(",")
-        if len(fields) != len(SERIES_COLUMNS):
-            raise InvalidParameter(
-                f"{path}: line {n}: expected {len(SERIES_COLUMNS)} values, "
-                f"got {len(fields)}")
-        try:
-            rows.append([float(v) for v in fields])
-        except ValueError as exc:
-            raise InvalidParameter(f"{path}: line {n}: {exc}") from None
-    data = np.array(rows).reshape(len(rows), len(SERIES_COLUMNS))
-    cols = {name: data[:, i] for i, name in enumerate(SERIES_COLUMNS)}
-    return OrderParamSeries(columns=cols)
-
-
 # ---------------------------------------------------------------------------
 # Run directories
 # ---------------------------------------------------------------------------
@@ -517,7 +493,3 @@ def write_meta(run_dir: str, cfg: RunConfig) -> None:
 def mark_done(run_dir: str) -> None:
     with atomic_text(os.path.join(run_dir, "DONE")) as fh:
         fh.write("complete\n")
-
-
-def is_complete(run_dir: str) -> bool:
-    return os.path.exists(os.path.join(run_dir, "DONE"))

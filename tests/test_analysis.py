@@ -19,17 +19,19 @@ from spintex.analysis import (
     power_spectrum,
 )
 from spintex.errors import GridMismatch, InvalidParameter
-from spintex.field import imprint_helix, spin_density, transverse_state
+from spintex.field import imprint_helix, spin_density
 from spintex.grid import Grid2D
 
 TWO_PI = 2.0 * math.pi
 # the default spectral regions (k_cut, k_lo, k_hi) of RunConfig, rad/um
 REGIONS = (TWO_PI / 25.0, TWO_PI / 15.0, TWO_PI / 6.0)
+# one site fully magnetized along +x
+TRANSVERSE = np.array([0.5, 1.0 / math.sqrt(2.0), 0.5], dtype=complex)
 
 
 def uniform_transverse_field(grid, density):
     """Fully magnetized along +x at uniform density."""
-    psi = np.tile(transverse_state()[:, None, None], (1,) + grid.shape)
+    psi = np.tile(TRANSVERSE[:, None, None], (1,) + grid.shape)
     return psi * math.sqrt(density)
 
 
@@ -335,7 +337,7 @@ def test_vortices_covariant_under_spin_rotation():
 
 def test_vortices_need_a_spin_density_on_the_grid():
     g = Grid2D(nx=8, nz=8, lx=4.0, lz=4.0)
-    psi = np.tile(transverse_state()[:, None, None], (1,) + g.shape) * 2.0
+    psi = np.tile(TRANSVERSE[:, None, None], (1,) + g.shape) * 2.0
     s = spin_density(psi)
     assert np.allclose(s[0], 4.0)
     assert detect_vortices(s, g) == ()

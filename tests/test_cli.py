@@ -10,7 +10,7 @@ import pytest
 import spintex
 from spintex.cli import main
 from spintex.errors import NumericalFailure
-from spintex.io_text import RunConfig, is_complete
+from spintex.io_text import RunConfig
 from spintex.params import derive_params
 
 D = derive_params(RunConfig())
@@ -61,7 +61,7 @@ def test_simulate_with_overrides(tmp_path, capsys):
                  "--out", out_dir, "--dipoles", "off",
                  "--cancel-pulses", "0"])
     assert code == 0
-    assert is_complete(out_dir)
+    assert os.path.exists(os.path.join(out_dir, "DONE"))
     meta = open(os.path.join(out_dir, "meta"), encoding="utf-8").read()
     assert "rng_seed = 7" in meta
     assert "kernel_mode = off" in meta

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,8 +9,12 @@ from spintex.errors import GridMismatch, InvalidParameter
 from spintex.field import (add_noise, imprint_helix, local_scratch,
                            number_density, prepare_initial, rotate_spinor,
                            spin_density, spin_matrices, thomas_fermi_density,
-                           transverse_state, zeeman_like_apply)
+                           zeeman_like_apply)
 from spintex.grid import Grid2D
+
+# one site fully magnetized along +x
+TRANSVERSE = np.array([0.5, 1.0 / math.sqrt(2.0), 0.5], dtype=complex)
+
 
 def test_spin_matrices_algebra():
     fx, fy, fz = spin_matrices()
@@ -26,7 +31,7 @@ def test_spin_density_cardinal_states():
     down = np.array([0.0, 0.0, 1.0], dtype=complex)
     assert np.allclose(spin_density(up), [0, 0, 1])
     assert np.allclose(spin_density(down), [0, 0, -1])
-    tx = transverse_state()
+    tx = TRANSVERSE
     assert np.allclose(spin_density(tx), [1, 0, 0], atol=1e-15)
     assert number_density(tx) == pytest.approx(1.0)
 
@@ -80,13 +85,20 @@ def test_rotate_spinor_matches_dense_exponential():
 
 def test_rotate_spinor_rejects_zero_axis():
     with pytest.raises(InvalidParameter):
-        rotate_spinor(transverse_state(), (0.0, 0.0, 0.0), 1.0)
+        rotate_spinor(TRANSVERSE, (0.0, 0.0, 0.0), 1.0)
+    # and an axis that is not three finite numbers
+    for axis in ((1.0, 0.0), (1.0, 0.0, 0.0, 0.0), (1.0, float("nan"), 0.0),
+                 ((1.0, 0.0, 0.0),)):
+        with pytest.raises(InvalidParameter,
+                           match=r"rotation axis must be three finite "
+                                 r"numbers, got " + re.escape(repr(axis))):
+            rotate_spinor(TRANSVERSE, axis, 1.0)
 
 
 def test_imprint_helix_phase_advance():
     g = Grid2D(nx=8, nz=64, lx=4.0, lz=32.0)
     kappa = 2 * math.pi / 16.0
-    psi = np.tile(transverse_state()[:, None, None], (1, g.nx, g.nz))
+    psi = np.tile(TRANSVERSE[:, None, None], (1, g.nx, g.nz))
     wound = imprint_helix(psi, g, kappa)
     s = spin_density(wound)
     # transverse direction advances as kappa z; magnitude unchanged
@@ -227,9 +239,9 @@ def test_local_step_is_the_allocating_closed_form_bit_for_bit():
     v[:, 1, 1] = (0.0, 6e-10, -8e-10)
     before = psi.copy()
     held = np.zeros((3, 16, 7), dtype=complex)
-    # as the stepper calls it: out a block of a larger array, and the
-    # leading rows of a larger scratch set
-    work = [a[:5] for a in local_scratch((8, 7))]
+    # as the stepper calls it: out a block of a larger array, and a
+    # scratch set of the block's shape
+    work = local_scratch((5, 7))
     for dt, q in ((0.41, 1.3), (1e-3, 0.0), (2.9, -0.6)):
         ref = _allocating_local_step(block, dt, u, q, *v)
         out = held[:, 6:11]
@@ -308,7 +320,7 @@ def test_prepare_initial_trap():
 def test_add_noise():
     rng = np.random.default_rng(17)
     g = Grid2D(nx=16, nz=16, lx=8.0, lz=8.0)
-    psi = np.tile(transverse_state()[:, None, None], (1, 16, 16)) * 3.0
+    psi = np.tile(TRANSVERSE[:, None, None], (1, 16, 16)) * 3.0
     noisy = add_noise(psi, 1e-3, rng)
     # renormalized exactly, perturbed slightly
     assert number_density(noisy).sum() \

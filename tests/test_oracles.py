@@ -14,7 +14,7 @@ from spintex import constants as cn
 from spintex import oracles
 from spintex.dipole import DipolarCoupling, interaction_kernel, planar_tensor
 from spintex.errors import InvalidParameter
-from spintex.field import spin_density, transverse_state
+from spintex.field import spin_density
 from spintex.grid import Grid2D
 
 SIGMA_Y = 1.8 / math.sqrt(5.0)
@@ -74,7 +74,7 @@ def test_column_3d_vs_closed_form():
 
 
 def test_single_site_reference_basics():
-    psi0 = transverse_state()
+    psi0 = np.array([0.5, 1.0 / math.sqrt(2.0), 0.5], dtype=complex)
     t = np.linspace(0.0, 2.0, 9)
     traj = oracles.single_site_reference(psi0, t, q_hz=0.0, c0n_hz=0.0,
                                          c2_2d=0.0, c_dd=0.0)

@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 
 from spintex import dynamics, runner
-from spintex.analysis import growth_rate
+from spintex.analysis import SERIES_COLUMNS, growth_rate
 from spintex.errors import InvalidParameter
 from spintex.field import spin_density
-from spintex.io_text import (RunConfig, is_complete, parse_config,
-                             read_snapshot, read_timeseries)
+from spintex.io_text import RunConfig, read_snapshot
 from spintex.params import derive_params
 from spintex.runner import (analyze_run, build_evolver, initial_field,
                             run_simulate, run_sweep_kappa, _streams)
@@ -46,7 +45,7 @@ def test_zero_time_run_writes_one_snapshot(tmp_path):
     assert result.series.short_order[0] < 1e-9 * result.series.total_power[0]
     assert result.series.long_order[0] > 0.99 * result.series.total_power[0]
     d = result.run_dir
-    assert is_complete(d)
+    assert os.path.exists(os.path.join(d, "DONE"))
     assert os.path.exists(os.path.join(d, "meta"))
     assert os.path.exists(os.path.join(d, "snap_t0.txt"))
     assert os.path.exists(os.path.join(d, "timeseries.csv"))
@@ -141,9 +140,9 @@ def test_run_directory_does_not_depend_on_its_path(tmp_path):
 
 def test_run_directory_does_not_depend_on_the_block_size(tmp_path,
                                                          monkeypatch):
-    # 640 sites are 10 of the 64-site rows: blocks of 10, 10, 10 and 2 rows
+    # 512 sites are 8 of the 64-site rows: four blocks of 8 rows
     trees = []
-    for block_sites in (dynamics._BLOCK_SITES, 640):
+    for block_sites in (dynamics._BLOCK_SITES, 512):
         monkeypatch.setattr(dynamics, "_BLOCK_SITES", block_sites)
         out = str(tmp_path / f"blocks_{block_sites}")
         run_simulate(small_cfg(tmp_path, out_dir=out,
@@ -176,12 +175,12 @@ def test_analyze_run_error_cases(tmp_path):
         analyze_run(str(tmp_path))
     cfg = small_cfg(tmp_path)
     result = run_simulate(cfg)
-    series = read_timeseries(os.path.join(result.run_dir, "timeseries.csv"))
-    assert len(series) == 5
+    rows = np.loadtxt(os.path.join(result.run_dir, "timeseries.csv"),
+                      delimiter=",", skiprows=2)
+    assert rows.shape == (5, len(SERIES_COLUMNS))
 
-    # a run without DONE is detectably partial but still analyzable
+    # a run without DONE (a partial one) is still analyzable
     os.remove(os.path.join(result.run_dir, "DONE"))
-    assert not is_complete(result.run_dir)
     assert len(analyze_run(result.run_dir)) >= 1
 
     for name in os.listdir(result.run_dir):
@@ -231,11 +230,14 @@ def test_rerun_into_one_directory_replaces_the_earlier_run(tmp_path):
     names = sorted(n for n in os.listdir(result.run_dir)
                    if n.startswith("snap_t"))
     assert names == ["snap_t0.25.txt", "snap_t0.5.txt", "snap_t0.txt"]
-    stored = read_timeseries(os.path.join(result.run_dir, "timeseries.csv"))
+    stored = np.loadtxt(os.path.join(result.run_dir, "timeseries.csv"),
+                        delimiter=",", skiprows=2)
+    t_col = SERIES_COLUMNS.index("t_ms")
+    long_col = SERIES_COLUMNS.index("long_order")
     again = analyze_run(result.run_dir)
     assert len(again) == len(stored) == 3
-    assert list(again.t_ms) == list(stored.t_ms) == [0.0, 0.25, 0.5]
-    assert np.allclose(again.long_order, stored.long_order, rtol=1e-7)
+    assert list(again.t_ms) == list(stored[:, t_col]) == [0.0, 0.25, 0.5]
+    assert np.allclose(again.long_order, stored[:, long_col], rtol=1e-7)
 
 
 def test_integer_valued_inputs_keep_one_config_hash(tmp_path):
@@ -283,7 +285,7 @@ def test_rerun_clears_stale_done_marker(tmp_path):
     with open(os.path.join(cfg.out_dir, "DONE"), "w") as fh:
         fh.write("stale\n")
     result = run_simulate(cfg)
-    assert is_complete(result.run_dir)
+    assert os.path.exists(os.path.join(result.run_dir, "DONE"))
     back, grid, header = read_snapshot(
         os.path.join(result.run_dir, "snap_t0.txt"))
     assert header["config"] == result.cfg_hash
@@ -351,8 +353,8 @@ def test_sweep_validation_and_output(tmp_path):
     assert abs(rows[0][0] - 2.0 * np.pi / 60.0) < 1e-12
     assert abs(rows[1][0] - 2.0 * np.pi / 30.0) < 1e-12
     base = cfg.out_dir
-    assert is_complete(os.path.join(base, "pitch_60"))
-    assert is_complete(os.path.join(base, "pitch_30"))
+    assert os.path.exists(os.path.join(base, "pitch_60", "DONE"))
+    assert os.path.exists(os.path.join(base, "pitch_30", "DONE"))
     gamma_path = os.path.join(base, "gamma.csv")
     with open(gamma_path, encoding="utf-8") as fh:
         data = [ln for ln in fh if ln.strip() and not ln.startswith("#")]
@@ -377,7 +379,7 @@ def test_noisy_run_needs_modes_beyond_2_k_hi(tmp_path):
                        match="k_hi_rad_um.*noise_amplitude > 0"):
         run_simulate(replace(cfg, noise_amplitude=1e-3))
     assert not os.path.exists(cfg.out_dir)
-    assert is_complete(run_simulate(cfg).run_dir)
+    assert os.path.exists(os.path.join(run_simulate(cfg).run_dir, "DONE"))
 
 
 def test_invalid_sweep_leaves_no_directory(tmp_path):
@@ -523,7 +525,7 @@ def test_sweep_raises_its_first_failure_in_pitch_order(
     assert multiprocessing.active_children() == []
     assert not os.path.exists(os.path.join(cfg.out_dir, "gamma.csv"))
     for name in done:       # lane 0's pitch, and a running pitch waited for
-        assert is_complete(os.path.join(cfg.out_dir, name))
+        assert os.path.exists(os.path.join(cfg.out_dir, name, "DONE"))
 
 
 def test_a_failed_sweep_rerun_leaves_no_earlier_gamma(tmp_path, monkeypatch):
@@ -543,5 +545,5 @@ def test_a_failed_sweep_rerun_leaves_no_earlier_gamma(tmp_path, monkeypatch):
         fh.write("not a directory\n")
     with pytest.raises(FileExistsError):
         run_sweep_kappa(cfg, [40.0, 60.0])
-    assert is_complete(os.path.join(cfg.out_dir, "pitch_40"))
+    assert os.path.exists(os.path.join(cfg.out_dir, "pitch_40", "DONE"))
     assert not os.path.exists(gamma_path)
