@@ -37,7 +37,7 @@ def check_regions(grid: Grid2D, k_cut: float, k_lo: float,
         raise InvalidParameter(
             f"need 0 < k_cut < k_lo < k_hi, got "
             f"({k_cut!r}, {k_lo!r}, {k_hi!r})")
-    nyq = min(grid.k_nyquist_x, grid.k_nyquist_z)
+    nyq = math.pi / max(grid.dx, grid.dz)
     if k_hi >= nyq:
         raise InvalidParameter(
             f"k_hi {k_hi:.4f} exceeds the grid Nyquist {nyq:.4f}")

@@ -51,7 +51,7 @@ def _build_config(args, seedable=True) -> RunConfig:
             cfg.out_dir = args.out
         if args.dipoles is not None:
             cfg.kernel_mode = args.dipoles
-        if getattr(args, "cancel_pulses", None) is not None:
+        if args.cancel_pulses is not None:
             cfg.cancel_pulse_rate_khz = args.cancel_pulses
         cfg.validate()
     return cfg

@@ -23,11 +23,13 @@ three loops over blocks of whole grid rows (about _BLOCK_SITES sites).
 The grid's sizes and _BLOCK_SITES are powers of two, so every block has
 the same number of rows, and one fixed scratch set of that block's
 shape, made once per step, serves them all: the local step and its
-coefficients write into it, and the densities and the local step's
-result into the step's own arrays, through ufunc out= arguments.  Each
-block sees the inputs one pass over the grid would, so the result does
-not depend on the block size, bit for bit.  The kinetic FFTs run one
-spin component at a time, through one held transform buffer.
+coefficients write into it.  The densities, u = V + c0 n (built once
+per step) and both local steps write into the step's own arrays
+through ufunc out= arguments, the predicted field into the output block
+that the full local step then overwrites.  Each block sees the inputs
+one pass over the grid would, so the result does not depend on the
+block size, bit for bit.  The kinetic FFTs run one spin component at a
+time, through one held transform buffer.
 
 Evolver(grid, dt_ms, *, q_hz, c0_2d, c2_2d, sigma_y_um, c_dd,
 kernel_mode, potential=None) takes its coefficients by keyword: c0_2d
@@ -100,13 +102,14 @@ class Evolver:
         back as the next step's b.  The exponential-midpoint local step
         runs as three loops over blocks of rows, around one dipolar
         convolution:
-        A. s and n, the spin and number densities of psi;
-        B. half a local step of psi with the coefficients of (s, n, b),
-           keeping only the spin density of that predicted field, which
-           overwrites s block by block (the local step is unitary at
-           each site, so n is unchanged);
+        A. s, the spin density of psi, and u = V + c0 n, its
+           spin-independent potential (n the number density);
+        B. half a local step of psi with the coefficients of (s, u, b)
+           into the block of out that loop C overwrites; the spin
+           density of that predicted field overwrites s block by block
+           (the local step is unitary at each site, so u holds);
         C. the full local step of psi with the coefficients of the
-           predicted (s, n) and their field b_mid.
+           predicted s, with u, and their field b_mid, into out.
         b is the previous step's b_mid; None, on a segment's first step,
         makes it the field of psi's own s.  Then comes the closing
         kinetic half step, merged with the next step's opening one (alone
@@ -120,35 +123,33 @@ class Evolver:
         rows = min(nx, max(1, _BLOCK_SITES // nz))
         blocks = [slice(i, i + rows) for i in range(0, nx, rows)]
         s = np.empty((3, nx, nz))
-        n = np.empty((nx, nz))
-        # one block's buffers: the local step's scratch, its coefficients
-        # and loop B's predicted field
+        u = np.empty((nx, nz))
+        out = np.empty(psi.shape, complex)
+        # one block's buffers: the local step's scratch and its coefficients
         work = local_scratch((rows, nz))
-        u, vx, vy, vz = np.empty((4, rows, nz))
-        pred = np.empty((3, rows, nz), dtype=complex)
+        vx, vy, vz = np.empty((3, rows, nz))
 
-        def local(r, b, th, out):
-            # local step of psi's rows r with the coefficients of (s, n, b),
-            # into out
-            np.multiply(self.c0_2d, n[r], out=u)
-            np.add(self.potential[r], u, out=u)
+        def local(r, b, th):
+            # local step of psi's rows r with the coefficients of (s, u, b),
+            # into the same rows of out
             for i, v in enumerate((vx, vy, vz)):
                 np.multiply(self.c2_2d, s[i, r], out=v)
                 v -= b[i, r]
-            return zeeman_like_apply(psi[:, r], th, u, self.q_hz, vx, vy, vz,
-                                     out=out, work=work)
+            return zeeman_like_apply(psi[:, r], th, u[r], self.q_hz,
+                                     vx, vy, vz, out=out[:, r], work=work)
 
         for r in blocks:
             spin_density(psi[:, r], out=s[:, r])
-            number_density(psi[:, r], out=n[r])
+            number_density(psi[:, r], out=u[r])
+            np.multiply(self.c0_2d, u[r], out=u[r])
+            np.add(self.potential[r], u[r], out=u[r])
         if b is None:
             b = self.coupling.field_of(s)
         for r in blocks:
-            spin_density(local(r, b, 0.5 * theta, pred), out=s[:, r])
+            spin_density(local(r, b, 0.5 * theta), out=s[:, r])
         b_mid = self.coupling.field_of(s)
-        out = np.empty(psi.shape, complex)
         for r in blocks:
-            local(r, b_mid, theta, out[:, r])
+            local(r, b_mid, theta)
         # checked before the FFT spreads a non-finite site over the grid
         if not np.all(np.isfinite(out.view(float))):
             _, ix, iz = np.argwhere(~np.isfinite(out))[0]

@@ -88,11 +88,3 @@ class Grid2D:
     def kmag(self) -> np.ndarray:
         """|k| on the full fft2 layout, rad/um (hypot, not sqrt(k2))."""
         return np.hypot(self.kx[:, None], self.kz[None, :])
-
-    @property
-    def k_nyquist_x(self) -> float:
-        return math.pi / self.dx
-
-    @property
-    def k_nyquist_z(self) -> float:
-        return math.pi / self.dz

@@ -442,11 +442,8 @@ def read_snapshot(path: str) -> tuple:
         raise InvalidParameter(
             f"snapshot {path}: table shape {table.shape} does not match "
             f"header grid {grid.shape}")
-    shape = grid.shape
-    psi = np.empty((3,) + shape, dtype=complex)
-    for comp, (re_col, im_col) in enumerate(((6, 7), (8, 9), (10, 11))):
-        psi[comp] = (table[:, re_col] + 1j * table[:, im_col]).reshape(shape)
-    return psi, grid, header
+    psi = np.ascontiguousarray((table[:, 6::2] + 1j * table[:, 7::2]).T)
+    return psi.reshape((3,) + grid.shape), grid, header
 
 
 # ---------------------------------------------------------------------------
@@ -458,15 +455,10 @@ def write_timeseries(path: str, series: OrderParamSeries,
     with atomic_text(path) as fh:
         fh.write(f"# config = {cfg_hash}\n")
         fh.write(",".join(SERIES_COLUMNS) + "\n")
-        for i in range(len(series)):
-            row = []
-            for col in SERIES_COLUMNS:
-                val = series.columns[col][i]
-                if col == "n_vortices":
-                    row.append(str(int(val)))
-                else:
-                    row.append(f"{val:.10e}")
-            fh.write(",".join(row) + "\n")
+        row = ",".join("%d" if c == "n_vortices" else "%.10e"
+                       for c in SERIES_COLUMNS) + "\n"
+        fh.writelines(row % values for values in
+                      zip(*(series.columns[c] for c in SERIES_COLUMNS)))
 
 
 # ---------------------------------------------------------------------------

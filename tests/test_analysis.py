@@ -97,6 +97,12 @@ def test_region_spec_grid_check():
         check_regions(coarse, *REGIONS)
     with pytest.raises(InvalidParameter, match="Nyquist"):
         order_parameters(np.ones(coarse.shape), coarse, *REGIONS)
+    # oblong cells: the coarser axis (dz or dx = 4 um, Nyquist 0.7854
+    # rad/um) bounds k_hi, not the finer one (6.28 rad/um)
+    for oblong in (Grid2D(nx=32, nz=32, lx=16.0, lz=128.0),
+                   Grid2D(nx=32, nz=32, lx=128.0, lz=16.0)):
+        with pytest.raises(InvalidParameter, match="Nyquist 0.7854"):
+            check_regions(oblong, *REGIONS)
 
 
 def test_order_parameters_helix_placement():

@@ -305,6 +305,8 @@ def test_snapshot_round_trip(tmp_path):
     assert header["time_ms"] == 5.0
     assert header["config"] == "deadbeef0123"
     assert np.max(np.abs(back - psi)) < 1e-9
+    # C-ordered, as a field the program makes is
+    assert back.flags.c_contiguous
     # a time that read_snapshot would refuse is refused before any file
     os.remove(path)
     for bad in (float("nan"), float("inf"), float("-inf")):
@@ -470,6 +472,25 @@ def test_timeseries_round_trip(tmp_path):
             np.testing.assert_array_equal(back[:, i], series.n_vortices)
         else:
             assert np.max(np.abs(back[:, i] - series.columns[k])) < 1e-9
+
+
+def test_timeseries_text_is_printf_of_each_value(tmp_path):
+    # signed zeros, nan, infinities, the least subnormal and wide exponents
+    odd = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, -2.5e-7]
+    series = make_series(len(odd))
+    for k in SERIES_COLUMNS:
+        if k != "n_vortices":
+            series.columns[k][:] = np.roll(odd, SERIES_COLUMNS.index(k))
+    series.columns["n_vortices"][:] = [0, 3, 62, 0, 3, 62, 0, 3]
+    path = str(tmp_path / "timeseries.csv")
+    write_timeseries(path, series, cfg_hash="abc")
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()[2:]
+    assert lines == [
+        ",".join(str(int(series.columns[c][i])) if c == "n_vortices"
+                 else f"{series.columns[c][i]:.10e}" for c in SERIES_COLUMNS)
+        for i in range(len(odd))]
+    assert "-0.0000000000e+00" in lines[1] and "nan" in lines[2]
 
 
 def test_timeseries_empty_round_trip(tmp_path):
